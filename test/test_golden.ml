@@ -180,6 +180,44 @@ let test_stack_domains (name, mk) () =
     check_golden (name ^ ".trace.golden") (Trace.to_chrome_json trace)
   end
 
+(* Scenario corpus: every checked-in scenario the validator accepts,
+   driven through the scenario harness (strict engine, oracle) at one
+   fixed seed on every stack that admits it — all six, except that a
+   scenario with a [recover] runs on Xenic only (the RDMA baselines
+   refuse every rejoin, so a flapping node stays out and repeated flaps
+   can leave a shard with no live replica). Pins the armed paths the closed-loop
+   snapshots above never reach: crash, flap and recovery, partitions,
+   gray links and the partitioned open-loop driver. *)
+let scenario_seed = 5L
+
+let scenario_digests () =
+  let module Scenario = Xenic_scenario.Scenario in
+  let module Harness = Xenic_scenario.Harness in
+  let files =
+    Sys.readdir "scenarios" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".scn")
+    |> List.sort compare
+  in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun file ->
+      match Scenario.load_file (Filename.concat "scenarios" file) with
+      | Error m -> Alcotest.failf "%s: %s" file m
+      | Ok scn when Result.is_error (Scenario.validate scn) -> ()
+      | Ok scn ->
+          let stacks =
+            if Scenario.has_recovers scn then [ Harness.Xenic ]
+            else Harness.all_stacks
+          in
+          List.iter
+            (fun stack ->
+              let o = Harness.run ~domains:1 ~stack ~seed:scenario_seed scn in
+              Printf.bprintf b "== %s / %s\n%s\n" scn.Scenario.name
+                (Harness.stack_name stack) o.Harness.digest)
+            stacks)
+    files;
+  check_golden "scenarios.golden" (Buffer.contents b)
+
 (* The digest itself must be reproducible within a process, otherwise
    a golden mismatch could be mistaken for cross-run nondeterminism. *)
 let test_digest_reproducible () =
@@ -204,6 +242,8 @@ let () =
           (fun (name, mk) ->
             Alcotest.test_case name `Quick (test_stack_domains (name, mk)))
           stacks );
+      ( "scenario corpus",
+        [ Alcotest.test_case "all stacks" `Quick scenario_digests ] );
       ( "self-check",
         [
           Alcotest.test_case "same-seed reproducibility" `Quick
