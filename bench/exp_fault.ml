@@ -60,7 +60,7 @@ let mk_armed ~store_cfg ~cache_capacity () =
   in
   let xs = Xenic_system.create engine hw cfg p in
   let m = Membership.create engine cfg ~lease_ns in
-  Xenic_system.attach_membership xs m;
+  Txn_runtime.attach_membership (Xenic_system.rt xs) m;
   Membership.start m;
   System.of_xenic xs
 

@@ -4,8 +4,8 @@ type t = {
   name : string;
   cfg : Config.t;
   engine : Xenic_sim.Engine.t;
+  rt : Txn_runtime.t;
   metrics : unit -> Metrics.t;
-  record_shed : latency_ns:float -> unit;
   ingress_occupancy : node:int -> float;
   sync : unit -> unit;
   load : Keyspace.t -> bytes -> unit;
@@ -19,102 +19,65 @@ type t = {
   set_oracle : Oracle.t -> unit;
   audit : unit -> string list;
   nic_util : unit -> float;
-  host_util : unit -> float;
-  crash_node : node:int -> unit;
   recover_node : node:int -> unit;
-  node_alive : node:int -> bool;
-  net_enable_faults : seed:int64 -> rto_ns:float -> unit;
-  net_set_cut : src:int -> dst:int -> bool -> unit;
-  net_set_loss : src:int -> dst:int -> float -> unit;
-  net_set_delay : src:int -> dst:int -> float -> unit;
   set_nic_slowdown : node:int -> float -> unit;
   degrade_nic_cores : node:int -> n:int -> dur_ns:float -> unit;
-  stop_background : unit -> unit;
-  set_trace : Xenic_sim.Trace.t option -> unit;
-  set_telemetry : Xenic_telemetry.Telemetry.t option -> unit;
   util_sources : unit -> (string * (unit -> float)) list;
   resources : unit -> (string * Xenic_sim.Resource.t) list;
 }
 
 let of_xenic x =
+  let rt = Xenic_system.rt x in
   {
-    name = "Xenic";
-    cfg = Xenic_system.config x;
-    engine = Xenic_system.engine x;
-    metrics = (fun () -> Xenic_system.metrics x);
-    record_shed = (fun ~latency_ns -> Xenic_system.record_shed x ~latency_ns);
-    ingress_occupancy = (fun ~node -> Xenic_system.ingress_occupancy x ~node);
-    sync = (fun () -> Xenic_system.sync x);
-    load = (fun k v -> Xenic_system.load x k v);
+    name = rt.stack;
+    cfg = rt.cfg;
+    engine = rt.engine;
+    rt;
+    metrics = (fun () -> Txn_runtime.metrics rt);
+    ingress_occupancy = Xenic_system.ingress_occupancy x;
+    sync = (fun () -> Txn_runtime.sync rt);
+    load = Xenic_system.load x;
     seal = (fun () -> Xenic_system.seal x);
-    run_txn = (fun ~node txn -> Xenic_system.run_txn x ~node txn);
-    peek = (fun ~node k -> Xenic_system.peek x ~node k);
-    peek_min = (fun ~node ~lo ~hi -> Xenic_system.peek_min x ~node ~lo ~hi);
-    peek_max = (fun ~node ~lo ~hi -> Xenic_system.peek_max x ~node ~lo ~hi);
-    peek_range = (fun ~node ~lo ~hi -> Xenic_system.peek_range x ~node ~lo ~hi);
-    quiesce = (fun () -> Xenic_system.quiesce x);
-    set_oracle = (fun o -> Xenic_system.set_oracle x o);
+    run_txn = Xenic_system.run_txn x;
+    peek = Xenic_system.peek x;
+    peek_min = Xenic_system.peek_min x;
+    peek_max = Xenic_system.peek_max x;
+    peek_range = Xenic_system.peek_range x;
+    quiesce = (fun () -> Txn_runtime.quiesce rt);
+    set_oracle = Txn_runtime.set_oracle rt;
     audit = (fun () -> Xenic_system.audit x);
     nic_util = (fun () -> Xenic_system.nic_core_utilization x);
-    host_util =
-      (fun () ->
-        (Xenic_system.host_app_utilization x
-        +. Xenic_system.host_worker_utilization x)
-        /. 2.0);
-    crash_node = (fun ~node -> Xenic_system.crash_node x ~node);
-    recover_node = (fun ~node -> Xenic_system.recover_node x ~node);
-    node_alive = (fun ~node -> Xenic_system.node_alive x ~node);
-    net_enable_faults =
-      (fun ~seed ~rto_ns -> Xenic_system.net_enable_faults x ~seed ~rto_ns);
-    net_set_cut = (fun ~src ~dst c -> Xenic_system.net_set_cut x ~src ~dst c);
-    net_set_loss = (fun ~src ~dst p -> Xenic_system.net_set_loss x ~src ~dst p);
-    net_set_delay =
-      (fun ~src ~dst f -> Xenic_system.net_set_delay x ~src ~dst f);
-    set_nic_slowdown = (fun ~node f -> Xenic_system.set_nic_slowdown x ~node f);
-    degrade_nic_cores =
-      (fun ~node ~n ~dur_ns -> Xenic_system.degrade_nic_cores x ~node ~n ~dur_ns);
-    stop_background = (fun () -> Xenic_system.stop_background x);
-    set_trace = (fun tr -> Xenic_system.set_trace x tr);
-    set_telemetry = (fun tel -> Xenic_system.set_telemetry x tel);
+    recover_node = Xenic_system.recover_node x;
+    set_nic_slowdown = Xenic_system.set_nic_slowdown x;
+    degrade_nic_cores = Xenic_system.degrade_nic_cores x;
     util_sources = (fun () -> Xenic_system.util_sources x);
     resources = (fun () -> Xenic_system.resources x);
   }
 
 let of_rdma r =
+  let rt = Rdma_system.rt r in
   {
-    name = Rdma_system.flavor_name (Rdma_system.flavor r);
-    cfg = Rdma_system.cfg r;
-    engine = Rdma_system.engine r;
-    metrics = (fun () -> Rdma_system.metrics r);
-    record_shed = (fun ~latency_ns -> Rdma_system.record_shed r ~latency_ns);
-    ingress_occupancy = (fun ~node -> Rdma_system.ingress_occupancy r ~node);
-    sync = (fun () -> Rdma_system.sync r);
-    load = (fun k v -> Rdma_system.load r k v);
+    name = rt.stack;
+    cfg = rt.cfg;
+    engine = rt.engine;
+    rt;
+    metrics = (fun () -> Txn_runtime.metrics rt);
+    ingress_occupancy = Rdma_system.ingress_occupancy r;
+    sync = (fun () -> Txn_runtime.sync rt);
+    load = Rdma_system.load r;
     seal = (fun () -> Rdma_system.seal r);
-    run_txn = (fun ~node txn -> Rdma_system.run_txn r ~node txn);
-    peek = (fun ~node k -> Rdma_system.peek r ~node k);
-    peek_min = (fun ~node ~lo ~hi -> Rdma_system.peek_min r ~node ~lo ~hi);
-    peek_max = (fun ~node ~lo ~hi -> Rdma_system.peek_max r ~node ~lo ~hi);
-    peek_range = (fun ~node ~lo ~hi -> Rdma_system.peek_range r ~node ~lo ~hi);
-    quiesce = (fun () -> Rdma_system.quiesce r);
-    set_oracle = (fun o -> Rdma_system.set_oracle r o);
+    run_txn = Rdma_system.run_txn r;
+    peek = Rdma_system.peek r;
+    peek_min = Rdma_system.peek_min r;
+    peek_max = Rdma_system.peek_max r;
+    peek_range = Rdma_system.peek_range r;
+    quiesce = (fun () -> Txn_runtime.quiesce rt);
+    set_oracle = Txn_runtime.set_oracle rt;
     audit = (fun () -> Rdma_system.audit r);
     nic_util = (fun () -> 0.0);
-    host_util = (fun () -> Rdma_system.host_utilization r);
-    crash_node = (fun ~node -> Rdma_system.crash_node r ~node);
-    recover_node = (fun ~node -> Rdma_system.recover_node r ~node);
-    node_alive = (fun ~node -> Rdma_system.node_alive r ~node);
-    net_enable_faults =
-      (fun ~seed ~rto_ns -> Rdma_system.net_enable_faults r ~seed ~rto_ns);
-    net_set_cut = (fun ~src ~dst c -> Rdma_system.net_set_cut r ~src ~dst c);
-    net_set_loss = (fun ~src ~dst p -> Rdma_system.net_set_loss r ~src ~dst p);
-    net_set_delay = (fun ~src ~dst f -> Rdma_system.net_set_delay r ~src ~dst f);
-    set_nic_slowdown = (fun ~node f -> Rdma_system.set_nic_slowdown r ~node f);
-    degrade_nic_cores =
-      (fun ~node ~n ~dur_ns -> Rdma_system.degrade_nic_cores r ~node ~n ~dur_ns);
-    stop_background = (fun () -> Rdma_system.stop_background r);
-    set_trace = (fun tr -> Rdma_system.set_trace r tr);
-    set_telemetry = (fun tel -> Rdma_system.set_telemetry r tel);
+    recover_node = Rdma_system.recover_node r;
+    set_nic_slowdown = Rdma_system.set_nic_slowdown r;
+    degrade_nic_cores = Rdma_system.degrade_nic_cores r;
     util_sources = (fun () -> Rdma_system.util_sources r);
     resources = (fun () -> Rdma_system.resources r);
   }

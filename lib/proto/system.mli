@@ -7,13 +7,16 @@ type t = {
   name : string;
   cfg : Config.t;
   engine : Xenic_sim.Engine.t;
+  rt : Txn_runtime.t;
+      (** The stack's transaction runtime: recorders
+          ({!Txn_runtime.set_trace}, {!Txn_runtime.set_telemetry},
+          {!Txn_runtime.record_shed}), fault injection
+          ({!Txn_runtime.crash_node}, {!Txn_runtime.node_alive}, the
+          [net_*] link faults) and {!Txn_runtime.stop_background}. *)
   metrics : unit -> Metrics.t;
       (** Reported metrics. A call, not a field: partitioned (windowed)
           systems merge their per-partition shards into a fresh object
           each time; unpartitioned systems return the live object. *)
-  record_shed : latency_ns:float -> unit;
-      (** Record one admission-control shed as an aborted transaction
-          with reason {!Metrics.Shed}. *)
   ingress_occupancy : node:int -> float;
       (** Instantaneous coordinator-NIC ingress occupancy (> 1.0 =
           backlog) — the admission backpressure signal. *)
@@ -33,22 +36,10 @@ type t = {
   audit : unit -> string list;
       (** Post-[quiesce] protocol-invariant audit; [] = clean. *)
   nic_util : unit -> float;  (** SmartNIC core utilization (0 for RDMA). *)
-  host_util : unit -> float;
-  crash_node : node:int -> unit;
-      (** Mid-run fault injection; see {!Xenic_system.crash_node}. *)
   recover_node : node:int -> unit;
       (** Recover a crashed node: epoch-fenced rejoin with replica
           repair on Xenic (see {!Xenic_system.recover_node}); always
           refused (counted) on the RDMA baselines. *)
-  node_alive : node:int -> bool;
-  net_enable_faults : seed:int64 -> rto_ns:float -> unit;
-      (** Allocate per-link fault state; see
-          {!Xenic_net.Fabric.enable_faults}. *)
-  net_set_cut : src:int -> dst:int -> bool -> unit;
-  net_set_loss : src:int -> dst:int -> float -> unit;
-  net_set_delay : src:int -> dst:int -> float -> unit;
-      (** Link-level gray failures; mutations must run as engine events
-          at [src]; see {!Xenic_net.Fabric}. *)
   set_nic_slowdown : node:int -> float -> unit;
       (** Multiply [node]'s NIC service times by a factor >= 1; must run
           as an engine event at [node]. *)
@@ -56,14 +47,6 @@ type t = {
       (** Take [n] of [node]'s NIC cores (the single RDMA unit) out of
           service for a duration; must run as an engine event at
           [node]. *)
-  stop_background : unit -> unit;
-      (** Stop background services (membership loops) so the engine can
-          drain. *)
-  set_trace : Xenic_sim.Trace.t option -> unit;
-      (** Attach/detach an execution trace; see {!Xenic_system.set_trace}. *)
-  set_telemetry : Xenic_telemetry.Telemetry.t option -> unit;
-      (** Attach/detach a windowed telemetry flight recorder; see
-          {!Xenic_system.set_telemetry}. *)
   util_sources : unit -> (string * (unit -> float)) list;
       (** Instantaneous-occupancy gauges for {!Xenic_sim.Trace.sampler}. *)
   resources : unit -> (string * Xenic_sim.Resource.t) list;

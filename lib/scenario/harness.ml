@@ -85,7 +85,7 @@ let mk_closed stack ?domains ~nodes ~replication ~armed () =
       let xs = Xenic_system.create engine hw cfg p in
       if armed then begin
         let m = Membership.create engine cfg ~lease_ns in
-        Xenic_system.attach_membership xs m;
+        Txn_runtime.attach_membership (Xenic_system.rt xs) m;
         Membership.start m
       end;
       System.of_xenic xs
@@ -100,7 +100,7 @@ let mk_closed stack ?domains ~nodes ~replication ~armed () =
       let rs = Rdma_system.create engine hw cfg (flavor stack) p in
       if armed then begin
         let m = Membership.create engine cfg ~lease_ns in
-        Rdma_system.attach_membership rs m;
+        Txn_runtime.attach_membership (Rdma_system.rt rs) m;
         Membership.start m
       end;
       System.of_rdma rs

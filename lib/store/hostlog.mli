@@ -29,3 +29,6 @@ val used_b : 'r t -> int
 val appended : 'r t -> int
 
 val applied : 'r t -> int
+
+(** Records still to drain: space held, or appended but not yet applied. *)
+val pending : 'r t -> bool

@@ -32,7 +32,7 @@ let run ?(seed = 1L) ?(warmup_frac = 0.15) ?(abort_backoff_ns = 3_000.0)
     ?(profile = false) ?telemetry (sys : System.t) spec ~concurrency ~target =
   let engine = sys.System.engine in
   let metrics = Metrics.create () in
-  sys.System.set_telemetry telemetry;
+  Txn_runtime.set_telemetry sys.System.rt telemetry;
   (* Occupancy integrals for the flight recorder, without sampling
      events: at each transaction completion (an existing event) the
      current gauge readings are integrated backward over the span since
@@ -69,7 +69,7 @@ let run ?(seed = 1L) ?(warmup_frac = 0.15) ?(abort_backoff_ns = 3_000.0)
     | None, true -> Some (Trace.create engine)
     | _ -> trace
   in
-  sys.System.set_trace trace;
+  Txn_runtime.set_trace sys.System.rt trace;
   let prof_resources = if profile then sys.System.resources () else [] in
   let prof_baseline = Xenic_profile.Profile.baseline prof_resources in
   let prof_start = Engine.now engine in
@@ -112,7 +112,7 @@ let run ?(seed = 1L) ?(warmup_frac = 0.15) ?(abort_backoff_ns = 3_000.0)
       if Float.compare t_ns 0.0 < 0 then
         invalid_arg "Driver.run: negative fault time";
       Engine.at engine (start +. t_ns) (fun () ->
-          sys.System.crash_node ~node))
+          Txn_runtime.crash_node sys.System.rt ~node))
     faults;
   (* Once every slot has exited, stop background services (membership
      lease loops) so the engine can drain and [Engine.run] returns. *)
@@ -121,7 +121,7 @@ let run ?(seed = 1L) ?(warmup_frac = 0.15) ?(abort_backoff_ns = 3_000.0)
     decr active_slots;
     if !active_slots = 0 then begin
       stop_sampler ();
-      sys.System.stop_background ()
+      Txn_runtime.stop_background sys.System.rt
     end
   in
   (* Spawn under the engine's ambient attribution state: each slot's
@@ -147,7 +147,7 @@ let run ?(seed = 1L) ?(warmup_frac = 0.15) ?(abort_backoff_ns = 3_000.0)
                is the kind of cross-slot coupling the measurement window
                must not depend on; the overshoot bound is asserted in
                test_workload.ml instead. *)
-            if st.committed < st.target && sys.System.node_alive ~node
+            if st.committed < st.target && Txn_runtime.node_alive sys.System.rt ~node
             then begin
               let cls, txn = spec.generate rng ~node in
               (* Attribution context for this transaction: everything the
@@ -196,7 +196,7 @@ let run ?(seed = 1L) ?(warmup_frac = 0.15) ?(abort_backoff_ns = 3_000.0)
   | Some tel ->
       integrate_occ ();
       Xenic_telemetry.Telemetry.seal tel;
-      sys.System.set_telemetry None);
+      Txn_runtime.set_telemetry sys.System.rt None);
   Process.spawn engine (fun () -> sys.System.quiesce ());
   ignore (Engine.run engine);
   (* Sanitizer mode: a strict engine fails the run on any protocol-audit

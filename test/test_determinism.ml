@@ -92,7 +92,7 @@ let mk_xenic_sb_at ~nodes () =
   in
   let xs = Xenic_system.create engine hw cfg p in
   let m = Membership.create engine cfg ~lease_ns in
-  Xenic_system.attach_membership xs m;
+  Txn_runtime.attach_membership (Xenic_system.rt xs) m;
   Membership.start m;
   System.of_xenic xs
 
@@ -108,7 +108,7 @@ let mk_rdma_sb_at flavor ~nodes () =
   in
   let rs = Rdma_system.create engine hw cfg flavor p in
   let m = Membership.create engine cfg ~lease_ns in
-  Rdma_system.attach_membership rs m;
+  Txn_runtime.attach_membership (Rdma_system.rt rs) m;
   Membership.start m;
   System.of_rdma rs
 

@@ -39,7 +39,8 @@ let req_timeout_ns = 40_000.0
 
 let lease_ns = 25_000.0
 
-let mk_xenic ~store_cfg ~cache_capacity () =
+let mk_xenic ?(lease_ns = lease_ns) ?(max_retries = 10) ~store_cfg
+    ~cache_capacity () =
   let engine = Engine.create ~strict:true () in
   let cfg = Config.make ~nodes:4 ~replication:3 in
   let segments, seg_size, d_max = store_cfg in
@@ -51,15 +52,16 @@ let mk_xenic ~store_cfg ~cache_capacity () =
       d_max;
       cache_capacity;
       req_timeout_ns = Some req_timeout_ns;
+      max_retries;
     }
   in
   let xs = Xenic_system.create engine hw cfg p in
   let m = Membership.create engine cfg ~lease_ns in
-  Xenic_system.attach_membership xs m;
+  Txn_runtime.attach_membership (Xenic_system.rt xs) m;
   Membership.start m;
   System.of_xenic xs
 
-let mk_rdma flavor () =
+let mk_rdma ?(lease_ns = lease_ns) ?(max_retries = 10) flavor () =
   let engine = Engine.create ~strict:true () in
   let cfg = Config.make ~nodes:4 ~replication:3 in
   let p =
@@ -67,11 +69,12 @@ let mk_rdma flavor () =
       Rdma_system.default_params with
       buckets = Smallbank.chained_buckets sb_params;
       req_timeout_ns = Some req_timeout_ns;
+      max_retries;
     }
   in
   let rs = Rdma_system.create engine hw cfg flavor p in
   let m = Membership.create engine cfg ~lease_ns in
-  Rdma_system.attach_membership rs m;
+  Txn_runtime.attach_membership (Rdma_system.rt rs) m;
   Membership.start m;
   System.of_rdma rs
 
@@ -114,7 +117,7 @@ let run_once ~mk ~load ~spec_of ~concurrency ~target ~faults seed =
       Alcotest.(check bool)
         (Printf.sprintf "%s seed %Ld: node %d removed" name seed node)
         false
-        (sys.System.node_alive ~node))
+        (Txn_runtime.node_alive sys.System.rt ~node))
     faults;
   Alcotest.(check bool)
     (Printf.sprintf "%s seed %Ld: crash recorded" name seed)
@@ -176,6 +179,46 @@ let test_rdma_fault flavor () =
        ~faults:[ (80_000.0, 2) ]
        [ 1L; 2L ])
 
+(* {2 Retry exhaustion}
+
+   One attempt allowed, and a lease far longer than the timeout: every
+   coordinator that runs into the crashed node gives up on its first
+   [`Retry] well before the declaration, so the retry reason becomes
+   the transaction's abort reason — still exactly one per abort. *)
+let test_retry_exhaustion mk () =
+  let sys = mk () in
+  let oracle = Oracle.create () in
+  sys.System.set_oracle oracle;
+  Smallbank.load sb_params sys;
+  let result =
+    Driver.run sys (sb_spec sys) ~seed:1L ~concurrency:8 ~target:600
+      ~faults:[ (60_000.0, 2) ]
+  in
+  let name = sys.System.name in
+  let m = sys.System.metrics () in
+  Alcotest.(check bool) (name ^ ": made progress") true
+    (result.Driver.committed > 0);
+  Alcotest.(check bool) (name ^ ": retries counted") true
+    (counter sys "txn_retries" > 0.0);
+  Alcotest.(check bool) (name ^ ": declared and promoted") true
+    (counter sys "recovery_promotions" >= 1.0);
+  (* With a budget of one attempt, every retry is a give-up. *)
+  Alcotest.(check int)
+    (name ^ ": each retry aborted with its reason")
+    (int_of_float (counter sys "txn_retries"))
+    (Metrics.abort_reason_count m Metrics.Timeout
+    + Metrics.abort_reason_count m Metrics.Stale_epoch);
+  Alcotest.(check int)
+    (name ^ ": abort reasons sum to aborted")
+    (Metrics.aborted m)
+    (List.fold_left (fun acc (_, n) -> acc + n) 0
+       (Metrics.abort_reason_counts m));
+  match Oracle.check oracle with
+  | Oracle.Serializable -> ()
+  | Oracle.Violation msg -> Alcotest.failf "%s: not serializable: %s" name msg
+
+let late_lease_ns = 120_000.0
+
 (* {2 Driver measurement-window fixes (no faults involved)} *)
 
 let mk_plain () =
@@ -232,6 +275,18 @@ let () =
             (test_rdma_fault Rdma_system.Fasst);
           Alcotest.test_case "drtmr smallbank" `Quick
             (test_rdma_fault Rdma_system.Drtmr);
+        ] );
+      ( "retry exhaustion",
+        [
+          Alcotest.test_case "xenic max_retries=1" `Quick
+            (test_retry_exhaustion
+               (mk_xenic ~lease_ns:late_lease_ns ~max_retries:1
+                  ~store_cfg:(Smallbank.store_cfg sb_params)
+                  ~cache_capacity:256));
+          Alcotest.test_case "fasst max_retries=1" `Quick
+            (test_retry_exhaustion
+               (mk_rdma ~lease_ns:late_lease_ns ~max_retries:1
+                  Rdma_system.Fasst));
         ] );
       ( "driver window",
         [

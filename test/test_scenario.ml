@@ -362,7 +362,7 @@ let test_legacy_faults_parity () =
     in
     let xs = Xenic_proto.Xenic_system.create engine hw cfg p in
     let m = Membership.create engine cfg ~lease_ns in
-    Xenic_proto.Xenic_system.attach_membership xs m;
+    Xenic_proto.Txn_runtime.attach_membership (Xenic_proto.Xenic_system.rt xs) m;
     Membership.start m;
     let sys = Xenic_proto.System.of_xenic xs in
     let oracle = Xenic_proto.Oracle.create () in

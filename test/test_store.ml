@@ -589,6 +589,8 @@ let test_hostlog_roundtrip () =
   let eng = Xenic_sim.Engine.create () in
   let log = Hostlog.create eng ~capacity_b:1024 in
   let applied = ref [] in
+  Alcotest.(check bool) "fresh log has nothing pending" false
+    (Hostlog.pending log);
   Xenic_sim.Process.spawn eng (fun () ->
       for _ = 1 to 3 do
         let r, bytes = Hostlog.poll log in
@@ -601,7 +603,15 @@ let test_hostlog_roundtrip () =
   Alcotest.(check (list string)) "order" [ "a"; "b"; "c" ] (List.rev !applied);
   Alcotest.(check int) "space reclaimed" 0 (Hostlog.used_b log);
   Alcotest.(check int) "appended" 3 (Hostlog.appended log);
-  Alcotest.(check int) "applied" 3 (Hostlog.applied log)
+  Alcotest.(check int) "applied" 3 (Hostlog.applied log);
+  Alcotest.(check bool) "drained log has nothing pending" false
+    (Hostlog.pending log);
+  (* A record nobody polls keeps the log pending. *)
+  Xenic_sim.Process.spawn eng (fun () ->
+      ignore (Hostlog.append log ~bytes:100 "d"));
+  ignore (Xenic_sim.Engine.run eng);
+  Alcotest.(check bool) "unapplied record is pending" true
+    (Hostlog.pending log)
 
 let test_hostlog_backpressure () =
   let eng = Xenic_sim.Engine.create () in

@@ -546,7 +546,7 @@ let test_failover_end_to_end () =
   Alcotest.(check bool) "promoted to a backup" true
     (List.mem new_primary (Config.backups cfg ~shard:0));
   Alcotest.(check int) "routing updated" new_primary
-    (Xenic_system.current_primary x ~shard:0);
+    (Txn_runtime.primary_of (Xenic_system.rt x) ~shard:0);
   (* Phase 2: survivors coordinate traffic that still hits shard 0. *)
   let result =
     Driver.run ~warmup_frac:0.0 sys
@@ -561,7 +561,7 @@ let test_failover_end_to_end () =
     total :=
       Int64.add !total
         (Smallbank.total_money_replica p sys
-           ~node:(Xenic_system.current_primary x ~shard)
+           ~node:(Txn_runtime.primary_of (Xenic_system.rt x) ~shard)
            ~shard)
   done;
   Alcotest.(check int64) "money conserved across failover" before !total;
