@@ -25,7 +25,6 @@ let experiments =
     ("sim", "engine hot-path events/sec vs legacy", Exp_sim.run);
     ("scale", "nodes x replication scale-out sweep", Exp_scale.run);
     ("load", "open-loop offered load vs goodput under admission control", Exp_load.run);
-    ("parity", "1-domain vs 2-domain bit-identity gate", Exp_parity.run);
     ("scenario", "declarative fault/load scenario corpus", Exp_scenario.run);
   ]
 

@@ -25,7 +25,9 @@
    Resolution is scope-light by design: an unqualified identifier
    resolves within its own module only; a qualified path resolves
    through its last module component that names an analyzed file
-   ([Xenic_store.Nic_index.try_lock] resolves via [Nic_index]). Local
+   ([Xenic_store.Nic_index.try_lock] resolves via [Nic_index]). Module
+   aliases bound at structure level ([module Rt = Txn_runtime]) are
+   expanded first, so [Rt.fn] resolves like [Txn_runtime.fn]. Local
    shadowing of toplevel names is ignored, which can only add edges —
    safe for a may-analysis. *)
 
@@ -43,6 +45,8 @@ type t = {
   defs : def list;  (* sorted by key, then file/line *)
   def_tbl : (string, def) Hashtbl.t;
   by_mod_fn : (string * string, string) Hashtbl.t;
+  aliases : (string * string, string list) Hashtbl.t;
+      (* (innermost module component, alias) -> aliased path *)
   mutable edges : (string, StrSet.t) Hashtbl.t;
 }
 
@@ -124,8 +128,44 @@ let collect_defs acc ~file ast =
   in
   structure ~mpath:[ module_of_file file ] ast acc
 
+(* Module aliases: [module X = Y] at any structure level binds [X] in
+   the enclosing module, keyed like definitions by its innermost
+   module component. *)
+let collect_aliases t ~file ast =
+  let rec structure ~mpath items =
+    List.iter
+      (fun item ->
+        match item.pstr_desc with
+        | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } -> (
+            match pmb_expr.pmod_desc with
+            | Pmod_ident { txt; _ } ->
+                Hashtbl.replace t.aliases (List.hd mpath, name)
+                  (flatten_lid txt)
+            | Pmod_structure items -> structure ~mpath:(name :: mpath) items
+            | _ -> ())
+        | _ -> ())
+      items
+  in
+  structure ~mpath:[ module_of_file file ] ast
+
 (* ------------------------------------------------------------------ *)
 (* Resolution.                                                         *)
+
+(* Rewrite the module components of a qualified path through the
+   aliases: the head through those visible in [scopes], each later
+   component through those of the module named just before it. The
+   fuel bounds alias chains, so a cycle cannot loop. *)
+let expand_aliases t ~scopes mods =
+  let rec go fuel scopes = function
+    | [] -> []
+    | m :: rest -> (
+        match
+          List.find_map (fun s -> Hashtbl.find_opt t.aliases (s, m)) scopes
+        with
+        | Some target when fuel > 0 -> go (fuel - 1) scopes (target @ rest)
+        | _ -> m :: go fuel [ m ] rest)
+  in
+  go 16 scopes mods
 
 (* [scopes] is the module-name scope chain for unqualified identifiers,
    innermost first (e.g. ["Sub"; "Process"] inside [module Sub] of
@@ -138,6 +178,7 @@ let resolve t ~scopes lid =
         (fun m -> Hashtbl.find_opt t.by_mod_fn (m, fn))
         scopes
   | Some (mods, fn) -> (
+      let mods = expand_aliases t ~scopes mods in
       let rec try_mods = function
         | [] -> None
         | m :: rest -> (
@@ -257,6 +298,7 @@ let build files =
       defs;
       def_tbl = Hashtbl.create 512;
       by_mod_fn = Hashtbl.create 512;
+      aliases = Hashtbl.create 16;
       edges = Hashtbl.create 512;
     }
   in
@@ -273,6 +315,7 @@ let build files =
       if not (Hashtbl.mem t.by_mod_fn (last_mod, d.d_name)) then
         Hashtbl.add t.by_mod_fn (last_mod, d.d_name) d.d_key)
     defs;
+  List.iter (fun (f, ast) -> collect_aliases t ~file:f ast) files;
   List.iter (fun (f, ast) -> collect_edges t ~file:f ast) files;
   t
 

@@ -55,33 +55,23 @@ let no_hooks =
 
 let create engine hw cfg ~stack ~partitions ~req_timeout_ns ~retry_backoff_ns
     ~max_retries =
-  (* Multi-domain engine: partition by node before any event exists.
-
-     [partitions > 0] requests windowed conservative-PDES mode: the
-     open-loop driver has no cross-node shared state, so partitions can
-     drain whole lookahead windows independently (lookahead = the wire
-     latency every cross-node message already pays). Results are
-     bit-identical for a fixed partition count regardless of domains.
-
-     Otherwise, a multi-domain engine gets exact-order mode (no
-     lookahead) — the closed-loop driver's shared counters couple all
-     nodes at zero lookahead, so execution stays in global (time, seq)
-     order with each node's events running on its partition's domain. *)
+  (* [partitions > 0] partitions the engine by node before any event
+     exists, for windowed conservative-PDES mode: the open-loop driver
+     has no cross-node shared state, so partitions can drain whole
+     lookahead windows independently (lookahead = the wire latency every
+     cross-node message already pays). Results are bit-identical for a
+     fixed partition count regardless of domains. Otherwise the engine
+     keeps its single heap, whatever its domain budget. *)
   let nodes = cfg.Config.nodes in
-  (if partitions > 0 then begin
-     if Engine.partitions engine <> 0 then
-       invalid_arg "Txn_runtime.create: engine already has a topology";
-     let partitions = min partitions nodes in
-     Engine.set_topology engine ~lookahead:hw.Xenic_params.Hw.wire_latency_ns
-       ~partitions
-       ~node_partition:(fun node ->
-         Config.partition_of_node cfg ~partitions ~node)
-   end
-   else if Engine.domains engine > 1 && Engine.partitions engine = 0 then
-     let partitions = min (Engine.domains engine) nodes in
-     Engine.set_topology engine ~partitions
-       ~node_partition:(fun node ->
-         Config.partition_of_node cfg ~partitions ~node));
+  if partitions > 0 then begin
+    if Engine.partitions engine <> 0 then
+      invalid_arg "Txn_runtime.create: engine already has a topology";
+    let partitions = min partitions nodes in
+    Engine.set_topology engine ~lookahead:hw.Xenic_params.Hw.wire_latency_ns
+      ~partitions
+      ~node_partition:(fun node ->
+        Config.partition_of_node cfg ~partitions ~node)
+  end;
   let fabric = Xenic_net.Fabric.create engine hw ~nodes in
   let shards f =
     if partitions > 0 then Array.init (Engine.partitions engine) (fun _ -> f ())

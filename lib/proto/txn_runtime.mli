@@ -83,9 +83,10 @@ type t = {
   mutable hooks : hooks;
 }
 
-(** Install the engine's node-partition topology ([partitions > 0]:
-    windowed, lookahead = wire latency; otherwise exact-order on a
-    multi-domain engine), then build the fabric and the shared state. *)
+(** Install the engine's node-partition topology when
+    [partitions > 0] (windowed, lookahead = wire latency; otherwise the
+    engine keeps its single heap), then build the fabric and the shared
+    state. *)
 val create :
   Xenic_sim.Engine.t ->
   Xenic_params.Hw.t ->

@@ -48,8 +48,7 @@ type params = {
           fixed partition count regardless of the engine's domain
           count. Windowed systems must stay un-armed and must not
           attach membership, traces or profiles (that state is
-          cross-partition). [0] (default): legacy single-heap or
-          exact-order multi-domain execution. *)
+          cross-partition). [0] (default): the single-heap engine. *)
 }
 
 val default_params : params

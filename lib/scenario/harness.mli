@@ -33,12 +33,16 @@ val counter : outcome -> string -> float
 
 (** [run ~stack ~seed scn] validates, injects and drives [scn],
     raising [Failure] on a serializability violation. [domains] is the
-    engine's domain budget (default: [XENIC_DOMAINS], or 1);
-    closed-loop digests are domain-count-invariant (exact-order
-    engine), open-loop ones likewise (windowed engine, 2 partitions).
-    [concurrency]/[target] shape the closed-loop run only. Requires
-    [max_concurrent_crashes < replication] (= 3, or [nodes] if
-    smaller). *)
+    open-loop engine's domain budget (default: [XENIC_DOMAINS], or 1);
+    open-loop digests are domain-count-invariant (windowed engine, 2
+    partitions). A closed-loop run uses the single-heap engine.
+    [concurrency]/[target] shape the closed-loop run only.
+
+    Raises [Invalid_argument] unless fewer nodes than the replication
+    (3, or [nodes] if smaller) can be down at once: on Xenic that is
+    {!Scenario.max_concurrent_crashes}; the RDMA stacks refuse every
+    rejoin, so there every node the schedule crashes stays down and
+    {!Scenario.crashed_nodes} counts. *)
 val run :
   ?domains:int ->
   ?concurrency:int ->

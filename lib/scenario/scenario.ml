@@ -68,6 +68,12 @@ let max_concurrent_crashes t =
     t.events;
   !peak
 
+let crashed_nodes t =
+  List.filter_map
+    (fun e -> match e.action with Crash n -> Some n | _ -> None)
+    t.events
+  |> List.sort_uniq Int.compare |> List.length
+
 (* ------------------------------------------------------------------ *)
 (* Validation *)
 
@@ -545,8 +551,8 @@ let expand_endpoint t n = if n = -1 then all_nodes t else [ n ]
    event per source, tagged [~node:src] — each runs on the partition
    that owns the row it mutates. NIC directives run at their node.
    Crash/recover are untagged, exactly like the legacy [Driver.run
-   ~faults] path (closed-loop runs use exact-order engines, where tags
-   only choose the executing domain, not the order). *)
+   ~faults] path (closed-loop runs use single-heap engines, where tags
+   are ignored). *)
 let schedule_action t (sys : System.t) ~at action =
   let engine = sys.System.engine in
   match action with

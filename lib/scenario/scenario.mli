@@ -90,8 +90,13 @@ val has_link_faults : t -> bool
 val has_phases : t -> bool
 
 (** Largest number of simultaneously-crashed nodes over the schedule.
-    The harness requires this < replication. *)
+    The harness requires this < replication on a stack that readmits
+    recovered nodes. *)
 val max_concurrent_crashes : t -> int
+
+(** Number of distinct nodes the schedule ever crashes, recovers
+    ignored: the down count on a stack that refuses every rejoin. *)
+val crashed_nodes : t -> int
 
 (** {2 Validation}
 
@@ -125,7 +130,7 @@ val save_file : string -> t -> unit
 (** [inject t sys ~seed] schedules every event of the scenario as an
     ordinary engine event, relative to the current simulated instant:
     link events run on the source node's partition, NIC events on
-    their node's partition — legal under exact-order and windowed
+    their node's partition — legal under single-heap and windowed
     parallel engines alike. If the scenario touches link state, the
     fabric's fault lane is enabled first with [seed]/[rto_ns]. Call
     after building the system and before [Driver.run]/[Openloop.run].

@@ -31,21 +31,23 @@ let run ?(seed = 1L) ?(warmup_frac = 0.15) ?(abort_backoff_ns = 3_000.0)
     ?coordinators ?(faults = []) ?trace ?(sample_period_ns = 10_000.0)
     ?(profile = false) ?telemetry (sys : System.t) spec ~concurrency ~target =
   let engine = sys.System.engine in
+  (* Every slot shares [st], [metrics] and the slot count, and the stop
+     rule reads the shared committed counter: on a partitioned engine
+     the slots would run concurrently on different domains. *)
+  if Engine.partitions engine > 0 then
+    invalid_arg
+      "Driver.run: the engine is partitioned (partitions > 0); drive \
+       partitioned systems with Openloop.run";
   let metrics = Metrics.create () in
   Txn_runtime.set_telemetry sys.System.rt telemetry;
   (* Occupancy integrals for the flight recorder, without sampling
      events: at each transaction completion (an existing event) the
      current gauge readings are integrated backward over the span since
-     the previous completion. Gauge state is shared across slots, so
-     this stays off in windowed conservative mode, where slots run
-     concurrently on different domains; exact-order mode serializes
-     every event through the baton, so the shared ref is race-free and
-     the integrals are bit-identical to a single-domain run. *)
+     the previous completion. *)
   let occ_state =
-    match telemetry with
-    | Some tel when Option.is_none (Engine.current_lookahead engine) ->
-        Some (tel, sys.System.util_sources (), ref (Engine.now engine))
-    | _ -> None
+    Option.map
+      (fun tel -> (tel, sys.System.util_sources (), ref (Engine.now engine)))
+      telemetry
   in
   let integrate_occ () =
     match occ_state with

@@ -54,10 +54,15 @@ type result = {
 
     [telemetry] attaches a windowed flight recorder for the run: the
     system streams commits/aborts into it, resource occupancy is
-    integrated at transaction completions (off in windowed
-    conservative mode, where slots run concurrently),
-    and the recorder is sealed — [t_end] fixed at the drain instant —
-    and detached before [run] returns. *)
+    integrated at transaction completions, and the recorder is sealed
+    — [t_end] fixed at the drain instant — and detached before [run]
+    returns.
+
+    Raises [Invalid_argument] on a partitioned engine
+    ([Engine.partitions > 0], i.e. a system built with
+    [partitions > 0]): the slots share the stop counter and metrics,
+    so a closed loop runs on the single-heap engine. Drive a
+    partitioned system with {!Openloop.run}. *)
 val run :
   ?seed:int64 ->
   ?warmup_frac:float ->

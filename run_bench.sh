@@ -18,15 +18,6 @@ fi
 : > /root/repo/bench_output.txt
 rm -f /root/repo/BENCH_*.json /root/repo/PROFILE_*.txt /root/repo/PROFILE_*.folded \
   /root/repo/TELEMETRY_*.json /root/repo/TELEMETRY_*.prom
-# Domain-parity gate: every stack must produce bit-identical digests on
-# 1-domain and 2-domain engines before any experiment spends cycles —
-# a divergence means the partitioned engine is broken and every number
-# below it would be suspect.
-if ! timeout 2400 dune exec bench/main.exe -- parity \
-    >> /root/repo/bench_output.txt 2>&1; then
-  echo "run_bench.sh: domain-parity gate failed (bench/main.exe parity)" >&2
-  exit 1
-fi
 failed=""
 # Scenario-corpus gate, ahead of the other experiments: replay the
 # checked-in fault/load scenario files (crash, flap, churn, partition,

@@ -409,6 +409,24 @@ let test_openloop_windowed_parity () =
   in
   Alcotest.(check string) "1 vs 2 domains" (run 1) (run 2)
 
+let test_closed_loop_unpartitioned () =
+  (* The closed-loop driver shares its stop counter across slots, so it
+     refuses a partitioned engine; a closed-loop system on a 2-domain
+     engine keeps the single heap and runs. *)
+  let spec = Retwis.spec retwis_small ~nodes:4 in
+  let sys = mk_xenic_open ~partitions:2 () in
+  Alcotest.check_raises "Driver.run on 2 partitions"
+    (Invalid_argument
+       "Driver.run: the engine is partitioned (partitions > 0); drive \
+        partitioned systems with Openloop.run")
+    (fun () -> ignore (Driver.run sys spec ~concurrency:2 ~target:50));
+  let sys = mk_xenic_open ~domains:2 () in
+  Alcotest.(check int) "2-domain closed loop is unpartitioned" 0
+    (Engine.partitions sys.System.engine);
+  Retwis.load retwis_small sys;
+  let r = Driver.run sys spec ~concurrency:2 ~target:50 in
+  Alcotest.(check bool) "commits" true (r.Driver.committed > 0)
+
 let test_openloop_retry_metastability () =
   (* With client retries and an unbounded queue, a burst leaves a
      backlog that outlives it — the post-burst phase commits less than
@@ -615,6 +633,8 @@ let () =
           Alcotest.test_case "determinism on six stacks" `Quick
             test_openloop_determinism_stacks;
           Alcotest.test_case "shed taxonomy" `Quick test_openloop_shed_taxonomy;
+          Alcotest.test_case "closed loop stays unpartitioned" `Quick
+            test_closed_loop_unpartitioned;
           Alcotest.test_case "windowed 1v2-domain parity" `Quick
             test_openloop_windowed_parity;
           Alcotest.test_case "retry metastability mitigated" `Quick
