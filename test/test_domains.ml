@@ -192,6 +192,66 @@ let test_windowed_horizon_enforced () =
   Alcotest.(check bool) "sub-lookahead cross-partition schedule raises" true
     !raised
 
+(* ------------------------------------------------------------------ *)
+(* Single-heap mode *)
+
+(* A domain budget alone does not partition the engine: until
+   [set_topology] the engine is one heap on the calling domain, node
+   tags are ignored, events run in (time, seq) order, a "cross-node"
+   schedule has no lookahead floor, and every event sees partition 0. *)
+let run_single_heap ~domains =
+  let eng = Engine.create ~domains () in
+  let log = Buffer.create 64 in
+  let parts = ref [] in
+  let note tag () =
+    Buffer.add_string log
+      (Printf.sprintf "%s@%g " tag (Engine.now eng));
+    parts := Engine.current_partition eng :: !parts
+  in
+  Engine.at ~node:1 eng 5.0 (note "b");
+  Engine.at ~node:0 eng 5.0 (note "c");
+  Engine.at ~node:3 eng 1.0 (fun () ->
+      note "a" ();
+      Engine.at ~node:2 eng 1.5 (note "hop"));
+  Engine.at eng 5.0 (note "d");
+  let events = Engine.run eng in
+  (Engine.partitions eng, events, Buffer.contents log, !parts)
+
+let test_single_heap_any_budget () =
+  let p1, e1, l1, c1 = run_single_heap ~domains:1 in
+  let p2, e2, l2, c2 = run_single_heap ~domains:2 in
+  Alcotest.(check int) "no partitions on 2 domains" 0 p2;
+  Alcotest.(check int) "no partitions on 1 domain" 0 p1;
+  Alcotest.(check string) "(time, seq) order" "a@1 hop@1.5 b@5 c@5 d@5 " l2;
+  Alcotest.(check string) "same order on 1 domain" l1 l2;
+  Alcotest.(check int) "same event count" e1 e2;
+  Alcotest.(check (list int)) "partition 0 throughout" [ 0; 0; 0; 0; 0 ] c2;
+  Alcotest.(check (list int)) "partition 0 on 1 domain" c1 c2
+
+let test_set_topology_rejects () =
+  let topo ?(lookahead = 100.0) ?(partitions = 2) eng =
+    Engine.set_topology ~lookahead eng ~partitions
+      ~node_partition:(fun n -> n mod 2)
+  in
+  Alcotest.check_raises "zero lookahead"
+    (Invalid_argument "Engine.set_topology: lookahead must be positive")
+    (fun () -> topo ~lookahead:0.0 (Engine.create ()));
+  Alcotest.check_raises "zero partitions"
+    (Invalid_argument "Engine.set_topology: partitions must be positive")
+    (fun () -> topo ~partitions:0 (Engine.create ()));
+  let eng = Engine.create () in
+  topo eng;
+  Alcotest.(check int) "topology installed" 2 (Engine.partitions eng);
+  Alcotest.check_raises "second topology"
+    (Invalid_argument "Engine.set_topology: topology already set")
+    (fun () -> topo eng);
+  let eng = Engine.create () in
+  Engine.at eng 1.0 ignore;
+  Alcotest.check_raises "after scheduling"
+    (Invalid_argument "Engine.set_topology: engine already has events")
+    (fun () -> topo eng);
+  Alcotest.(check int) "still single-heap" 0 (Engine.partitions eng)
+
 let () =
   Alcotest.run "xenic_domains"
     [
@@ -213,5 +273,12 @@ let () =
             test_windowed_domain_parity;
           Alcotest.test_case "horizon enforced" `Quick
             test_windowed_horizon_enforced;
+        ] );
+      ( "single-heap mode",
+        [
+          Alcotest.test_case "any domain budget" `Quick
+            test_single_heap_any_budget;
+          Alcotest.test_case "set_topology rejects" `Quick
+            test_set_topology_rejects;
         ] );
     ]
