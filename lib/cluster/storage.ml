@@ -130,10 +130,6 @@ let sync_shard ~from t ~shard =
       | Some stamp -> Hashtbl.replace t.ordered_stamps k stamp
       | None -> ())
 
-let iter_hash t ~shard f =
-  let s = shard_store t ~shard in
-  Robinhood.iter s.hash f
-
 let ordered_min t ~lo ~hi =
   let s = shard_store t ~shard:(Keyspace.shard lo) in
   Btree.min_in_range s.ordered ~lo ~hi

@@ -34,9 +34,6 @@ val apply : t -> Op.t -> seq:int -> unit
     version 1, bypassing the log). *)
 val load : t -> Keyspace.t -> bytes -> unit
 
-(** Iterate every (key, value, seq) of one shard's hash store. *)
-val iter_hash : t -> shard:int -> (Keyspace.t -> bytes -> int -> unit) -> unit
-
 (** [sync_shard ~from t ~shard] makes [t]'s copy of [shard] mirror
     [from]'s — values, versions, deletions and ordered-table apply
     stamps. State transfer for a rejoining node; the source must be

@@ -11,9 +11,6 @@ type 'm t = {
       (* gray-failure multiplier on each node's NIC unit service time
          (>= 1); slot [n] is only read by work running at node [n], so
          mutations scheduled as events at that node are partition-safe *)
-  verbs_arr : int array;
-      (* verb count sharded by initiator node, so issuing is race-free
-         under the windowed parallel engine; the total is a sum *)
 }
 
 (* Wire header sizes for verbs: transport + RETH/AETH-style headers. *)
@@ -34,7 +31,6 @@ let create fabric =
             ~name:(Printf.sprintf "rdma%d" i)
             ~servers:1);
     slow = Array.make (Fabric.nodes fabric) 1.0;
-    verbs_arr = Array.make (Fabric.nodes fabric) 0;
   }
 
 (* NIC-unit service time at [node] under the current degradation. *)
@@ -80,7 +76,6 @@ let target_pcie_ns t = function
       t.hw.rdma_target_read_pcie_ns +. (0.5 *. t.hw.rdma_target_write_pcie_ns)
 
 let one_sided ?(pay_submit = true) t ~src ~dst verb ~bytes ~at_target =
-  t.verbs_arr.(src) <- t.verbs_arr.(src) + 1;
   if pay_submit then Process.sleep (engine t) t.hw.rdma_submit_ns;
   Resource.use t.units.(src) (unit_ns t ~node:src);
   Fabric.transfer t.fabric ~src ~dst
@@ -110,7 +105,6 @@ let one_sided_many t ~src verbs =
       Process.parallel (engine t) (first :: others)
 
 let rpc_send ?(pay_submit = true) t ~src ~dst ~bytes msg =
-  t.verbs_arr.(src) <- t.verbs_arr.(src) + 1;
   if pay_submit then Process.sleep (engine t) t.hw.rdma_submit_ns;
   Resource.use t.units.(src) (unit_ns t ~node:src);
   Fabric.send t.fabric ~src ~dst ~payload_bytes:(req_header_b + bytes) [ msg ]
@@ -120,8 +114,6 @@ let rpc_recv_cost t ~node =
      thread picks it up. *)
   Resource.use t.units.(node) (unit_ns t ~node);
   Process.sleep (engine t) t.hw.rdma_target_write_pcie_ns
-
-let verbs_issued t = Array.fold_left ( + ) 0 t.verbs_arr
 
 let unit_busy t ~node =
   Resource.in_use t.units.(node) + Resource.queue_length t.units.(node)

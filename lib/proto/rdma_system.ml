@@ -579,6 +579,47 @@ let release_shard t ~src ~owner (shard, keys) =
              ~handler_ns:t.hw.host_rpc_ns
              (fun () -> List.iter (fun k -> unlock t ~node:primary k ~owner) keys))
 
+(* Lock [keys] at [node] in order, each with its lock-time version; on
+   the first conflict release what was taken and return [None]. Runs
+   inside a lock RPC handler and takes no simulated time. *)
+let lock_all t ~node ~owner keys =
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | k :: rest ->
+        if try_lock t ~node k ~owner then
+          let seq =
+            match obj_read t ~node k with Some (_, s) -> s | None -> 0
+          in
+          go ((k, None, seq) :: acc) rest
+        else begin
+          List.iter (fun (k', _, _) -> unlock t ~node k' ~owner) acc;
+          None
+        end
+  in
+  go [] keys
+
+(* Settle a parallel per-shard lock round: if any shard was down or
+   refused a lock (counted as an execute lock conflict unless one was
+   down), release what the other shards took ([locked] lists a shard's
+   acquired keys) and fail; otherwise the shards' results in order. *)
+let settle_locks t ~src ~owner ~locked results =
+  let down = List.exists (fun (_, r) -> r = `Down) results in
+  if down || List.exists (fun (_, r) -> r = `Fail) results then begin
+    if not down then
+      Txn_runtime.count t.rt "exec_lock_conflicts";
+    List.iter
+      (fun (shard, r) ->
+        match r with
+        | `Ok x -> (
+            match locked x with
+            | [] -> ()
+            | keys -> release_shard t ~src ~owner (shard, keys))
+        | _ -> ())
+      results;
+    if down then `Down else `Fail
+  end
+  else `Ok (List.filter_map (function _, `Ok x -> Some x | _ -> None) results)
+
 (* Lock the write set. DrTM+H and FaSST lock via (consolidated) RPCs;
    DrTM+R CAS-locks each key one-sided. Returns lock versions+values or
    `Fail; on failure all acquired locks are already released. *)
@@ -661,56 +702,26 @@ let lock_phase t ~epoch0 ~src ~owner (write_keys : Keyspace.t list) =
                  ~state_bytes:0)
             ~resp_bytes:(fun r ->
               match r with
-              | `Fail -> Wire.small_resp_b
-              | `Ok entries -> Wire.small_resp_b + (8 * List.length entries))
+              | None -> Wire.small_resp_b
+              | Some entries -> Wire.small_resp_b + (8 * List.length entries))
             ~handler_ns:
               (t.hw.host_rpc_ns
               +. (float_of_int (List.length keys) *. t.hw.host_op_ns))
-            (fun () ->
-              let rec go acc = function
-                | [] -> `Ok (List.rev acc)
-                | k :: rest ->
-                    if try_lock t ~node:primary k ~owner then
-                      let seq =
-                        match obj_read t ~node:primary k with
-                        | Some (_, s) -> s
-                        | None -> 0
-                      in
-                      go ((k, None, seq) :: acc) rest
-                    else begin
-                      List.iter
-                        (fun (k', _, _) -> unlock t ~node:primary k' ~owner)
-                        acc;
-                      `Fail
-                    end
-              in
-              go [] keys)
+            (fun () -> lock_all t ~node:primary ~owner keys)
         in
         match r with
         | `Down -> (shard, `Down)
-        | `Ok `Fail -> (shard, `Fail)
-        | `Ok (`Ok entries) -> (shard, `Ok entries))
+        | `Ok None -> (shard, `Fail)
+        | `Ok (Some entries) -> (shard, `Ok entries))
   in
   let results = Process.parallel t.rt.engine (List.map lock_shard !by_shard) in
-  let down = List.exists (fun (_, r) -> r = `Down) results in
-  if down || List.exists (fun (_, r) -> r = `Fail) results then begin
-    if not down then
-      Txn_runtime.count t.rt "exec_lock_conflicts";
-    List.iter
-      (fun (shard, r) ->
-        match r with
-        | `Ok entries when entries <> [] ->
-            release_shard t ~src ~owner
-              (shard, List.map (fun (k, _, _) -> k) entries)
-        | _ -> ())
-      results;
-    if down then `Down else `Fail
-  end
-  else
-    `Ok
-      (List.concat_map
-         (fun (_, r) -> match r with `Ok entries -> entries | _ -> [])
-         results)
+  match
+    settle_locks t ~src ~owner
+      ~locked:(List.map (fun (k, _, _) -> k))
+      results
+  with
+  | (`Down | `Fail) as r -> r
+  | `Ok entries -> `Ok (List.concat entries)
 
 (* Validation: DrTM+H/NC re-read version words one-sided; FaSST uses a
    per-shard RPC. *)
@@ -894,11 +905,6 @@ let commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard =
 (* ------------------------------------------------------------------ *)
 (* Transaction driver *)
 
-let group_ops_by_shard seq_ops =
-  List.sort_uniq compare (List.map (fun (op, _) -> Keyspace.shard (Op.key op)) seq_ops)
-  |> List.map (fun s ->
-         (s, List.filter (fun (op, _) -> Keyspace.shard (Op.key op) = s) seq_ops))
-
 (* FaSST's consolidated execute: one RPC per shard locks that shard's
    write-set keys AND reads its read-set keys (§2.2.2). *)
 let fasst_execute t ~epoch0 ~src ~owner ~reads ~locks =
@@ -929,24 +935,7 @@ let fasst_execute t ~epoch0 ~src ~owner ~reads ~locks =
           +. float_of_int (List.length s_reads + List.length s_locks)
              *. t.hw.host_op_ns)
         (fun () ->
-          let rec acquire acc = function
-            | [] -> Some (List.rev acc)
-            | k :: rest ->
-                if try_lock t ~node:primary k ~owner then
-                  let seq =
-                    match obj_read t ~node:primary k with
-                    | Some (_, s) -> s
-                    | None -> 0
-                  in
-                  acquire ((k, None, seq) :: acc) rest
-                else begin
-                  List.iter
-                    (fun (k', _, _) -> unlock t ~node:primary k' ~owner)
-                    acc;
-                  None
-                end
-          in
-          match acquire [] s_locks with
+          match lock_all t ~node:primary ~owner s_locks with
           | None -> `Fail
           | Some lockv ->
               let values =
@@ -965,33 +954,14 @@ let fasst_execute t ~epoch0 ~src ~owner ~reads ~locks =
     | `Ok (`Ok entries) -> (shard, `Ok entries)
   in
   let results = Process.parallel t.rt.engine (List.map one shards) in
-  let down = List.exists (fun (_, r) -> r = `Down) results in
-  if down || List.exists (fun (_, r) -> r = `Fail) results then begin
-    if not down then
-      Txn_runtime.count t.rt "exec_lock_conflicts";
-    (* Release locks acquired at other shards. *)
-    List.iter
-      (fun (shard, r) ->
-        match r with
-        | `Ok (lockv, _) when lockv <> [] ->
-            release_shard t ~src ~owner
-              (shard, List.map (fun (k, _, _) -> k) lockv)
-        | _ -> ())
-      results;
-    if down then `Down else `Fail
-  end
-  else
-    let lockv =
-      List.concat_map
-        (fun (_, r) -> match r with `Ok (lv, _) -> lv | _ -> [])
-        results
-    in
-    let values =
-      List.concat_map
-        (fun (_, r) -> match r with `Ok (_, vs) -> vs | _ -> [])
-        results
-    in
-    `Ok (lockv, values)
+  match
+    settle_locks t ~src ~owner
+      ~locked:(fun (lockv, _) -> List.map (fun (k, _, _) -> k) lockv)
+      results
+  with
+  | (`Down | `Fail) as r -> r
+  | `Ok per_shard ->
+      `Ok (List.concat_map fst per_shard, List.concat_map snd per_shard)
 
 let rec attempt t ~node ~epoch0 (txn : Types.t) : Txn_runtime.attempt =
   let n = t.nodes.(node) in
@@ -1147,91 +1117,48 @@ let rec attempt t ~node ~epoch0 (txn : Types.t) : Txn_runtime.attempt =
           Txn_runtime.count t.rt "validate_conflicts";
           abort_all ();
           `Aborted Metrics.Validation_failure
+      | `Valid when ops = [] ->
+          (* Nothing to write (e.g. DrTM+R read-only): release any
+             locks and commit. *)
+          abort_all ();
+          oracle_commit t ~id:owner ~read_results ~locked_entries ~seq_ops:[];
+          `Committed
       | `Valid ->
-          if ops = [] && lock_keys = [] then begin
-            oracle_commit t ~id:owner ~read_results ~locked_entries
-              ~seq_ops:[];
-            `Committed
-          end
-          else if ops = [] then begin
-            (* Locked but nothing to write (e.g. DrTM+R read-only):
-               release. *)
-            abort_all ();
-            oracle_commit t ~id:owner ~read_results ~locked_entries
-              ~seq_ops:[];
-            `Committed
-          end
-          else begin
-            let lock_versions =
-              List.map (fun (k, _, seq) -> (k, seq)) locked_entries
-            in
-            let seq_ops = Txn_runtime.seq_ops_of ~lock_versions ops in
-            let seq_ops_by_shard = group_ops_by_shard seq_ops in
-            let locked_by_shard =
-              List.map
-                (fun (shard, _) ->
-                  ( shard,
-                    List.filter_map
-                      (fun (k, _, _) ->
-                        if Keyspace.shard k = shard then Some k else None)
-                      locked_entries ))
-                seq_ops_by_shard
-            in
-            (* Release locks on keys that were locked but not written
-               (DrTM+R read-set locks). *)
-            let release_residual () =
-              let written = List.map (fun (op, _) -> Op.key op) seq_ops in
-              let residual =
-                List.filter_map
-                  (fun (k, _, _) ->
-                    if List.mem k written then None else Some k)
-                  locked_entries
-              in
-              if residual <> [] then release_keys residual
-            in
-            if not (Txn_runtime.armed t.rt) then begin
-              Attrib.set_phase "log";
-              log_phase t ~src ~decision:(ref Txn_runtime.Dcommit) seq_ops_by_shard;
-              let t4 = mark "log" t3 in
-              Attrib.set_phase "commit";
-              commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard;
-              release_residual ();
-              oracle_commit t ~id:owner ~read_results ~locked_entries ~seq_ops;
-              ignore (mark "commit" t4);
-              `Committed
-            end
-            else if not (Txn_runtime.fence_acquire t.rt ~src ~epoch0) then begin
-              (* Configuration moved (or we crashed) between validation
-                 and commit: abort before the first LOG byte. *)
-              abort_all ();
-              `Retry Metrics.Stale_epoch
-            end
-            else begin
-              let decision = ref Txn_runtime.Dpending in
+          let lock_versions =
+            List.map (fun (k, _, seq) -> (k, seq)) locked_entries
+          in
+          let seq_ops = Txn_runtime.seq_ops_of ~lock_versions ops in
+          let seq_ops_by_shard = Txn_runtime.group_ops_by_shard seq_ops in
+          let locked_by_shard =
+            List.map
+              (fun (shard, _) ->
+                ( shard,
+                  List.filter_map
+                    (fun (k, _, _) ->
+                      if Keyspace.shard k = shard then Some k else None)
+                    locked_entries ))
+              seq_ops_by_shard
+          in
+          (* Locks on keys that were locked but not written (DrTM+R
+             read-set locks). *)
+          let residual =
+            let written = List.map (fun (op, _) -> Op.key op) seq_ops in
+            List.filter_map
+              (fun (k, _, _) -> if List.mem k written then None else Some k)
+              locked_entries
+          in
+          Txn_runtime.commit_point t.rt ~src ~epoch0
+            ~log:(fun decision ->
               Attrib.set_phase "log";
               log_phase t ~src ~decision seq_ops_by_shard;
-              let t4 = mark "log" t3 in
-              if t.rt.crashed.(src) then begin
-                (* Died mid-LOG: never decide; backups discard. *)
-                decision := Txn_runtime.Dabort;
-                Txn_runtime.fence_release t.rt;
-                `Aborted Metrics.Crashed_owner
-              end
-              else begin
-                (* Commit point: decide and hand COMMIT to the fabric
-                   in one atomic step. *)
-                decision := Txn_runtime.Dcommit;
-                oracle_commit t ~id:owner ~read_results ~locked_entries
-                  ~seq_ops;
-                Attrib.set_phase "commit";
-                commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard;
-                release_residual ();
-                Txn_runtime.fence_release t.rt;
-                ignore (mark "commit" t4);
-                `Committed
-              end
-            end
-          end)
+              mark "log" t3)
+            ~commit:(fun t4 ->
+              oracle_commit t ~id:owner ~read_results ~locked_entries ~seq_ops;
+              Attrib.set_phase "commit";
+              commit_phase t ~src ~owner seq_ops_by_shard locked_by_shard;
+              if residual <> [] then release_keys residual;
+              ignore (mark "commit" t4))
+            ~abort:abort_all)
 
 let dispatch t ~node txn = attempt t ~node ~epoch0:t.rt.epoch txn
 

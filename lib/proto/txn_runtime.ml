@@ -133,7 +133,18 @@ let count t name = Xenic_stats.Counter.incr (counters t) name
 
 let set_trace t tr = t.trace <- tr
 
-let set_telemetry t tel = t.telemetry <- tel
+(* A recorder created before the engine was partitioned has one shard
+   and would be indexed out of bounds mid-run: refuse it at attach. *)
+let set_telemetry t tel =
+  (match tel with
+  | Some tel
+    when Xenic_telemetry.Telemetry.shards tel
+         <> max 1 (Engine.partitions t.engine) ->
+      invalid_arg
+        "Txn_runtime.set_telemetry: the recorder's shards do not match the \
+         engine's partitions; create the recorder after the system"
+  | _ -> ());
+  t.telemetry <- tel
 
 (* Phase/recovery events for the trace (no-ops with tracing off). *)
 let trace_instant t ~cat ~name ~pid ~tid args =
@@ -243,6 +254,13 @@ let seq_ops_of ~lock_versions ops =
       | None -> (op, 1))
     ops
 
+(* LOG/COMMIT records per written shard: shards ascending, each shard's
+   ops in input order. *)
+let group_ops_by_shard seq_ops =
+  let shard (op, _) = Keyspace.shard (Op.key op) in
+  List.sort_uniq compare (List.map shard seq_ops)
+  |> List.map (fun s -> (s, List.filter (fun o -> shard o = s) seq_ops))
+
 (* The commit fence: entered before the first LOG byte is sent, so that
    recovery (which waits for [inflight_commits = 0]) can never change
    routing or rebuild an index while a transaction is between LOG and
@@ -308,6 +326,39 @@ let log_resend t ~src ~backup ~attempt =
        replica. *)
     failwith (t.stack ^ ": LOG to a live backup timed out repeatedly")
   else true
+
+(* The commit point (§4.2, §4.2.1). Armed: enter the fence before the
+   first LOG byte (refused: [abort] releases the locks, nothing was
+   sent), LOG under a pending decision, and never decide if the
+   coordinator died mid-LOG — backups then discard the records and its
+   locks die with it or are swept at the declaration. Otherwise decide
+   and run [commit] with no suspension in between, so a crash cannot
+   split the decision from handing COMMIT to the fabric. Un-armed
+   records are born decided and there is no fence. *)
+let commit_point t ~src ~epoch0 ~log ~commit ~abort : attempt =
+  if not (armed t) then begin
+    commit (log (ref Dcommit));
+    `Committed
+  end
+  else if not (fence_acquire t ~src ~epoch0) then begin
+    abort ();
+    `Retry Metrics.Stale_epoch
+  end
+  else begin
+    let decision = ref Dpending in
+    let x = log decision in
+    if t.crashed.(src) then begin
+      decision := Dabort;
+      fence_release t;
+      `Aborted Metrics.Crashed_owner
+    end
+    else begin
+      decision := Dcommit;
+      commit x;
+      fence_release t;
+      `Committed
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Armed requests *)

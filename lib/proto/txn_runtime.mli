@@ -119,7 +119,10 @@ val count : t -> string -> unit
     recovery events). Recording is free in simulated time. *)
 val set_trace : t -> Xenic_sim.Trace.t option -> unit
 
-(** Attach/detach a windowed telemetry flight recorder. *)
+(** Attach/detach a windowed telemetry flight recorder. Raises
+    [Invalid_argument] unless it has one shard per engine partition
+    (create the recorder after the system that partitions the
+    engine). *)
 val set_telemetry : t -> Xenic_telemetry.Telemetry.t option -> unit
 
 val trace_instant :
@@ -171,12 +174,9 @@ val live_replica : t -> shard:int -> int option
 val seq_ops_of :
   lock_versions:(Keyspace.t * int) list -> Op.t list -> (Op.t * int) list
 
-(** Enter the commit fence before the first LOG byte; [false] (counted
-    as a fence refusal) when the coordinator crashed or the epoch moved
-    past [epoch0]. Waits while a reconfiguration is pending. *)
-val fence_acquire : t -> src:int -> epoch0:int -> bool
-
-val fence_release : t -> unit
+(** LOG/COMMIT records grouped per written shard: shards ascending,
+    each shard's ops in input order. *)
+val group_ops_by_shard : (Op.t * int) list -> (int * (Op.t * int) list) list
 
 (** Poll every 1,000 ns of simulated time while the predicate holds. *)
 val wait_while : t -> (unit -> bool) -> unit
@@ -188,6 +188,28 @@ val decided : t -> decision ref -> bool
     when the coordinator or the backup crashed (counted). Fails after 8
     attempts against a live backup. *)
 val log_resend : t -> src:int -> backup:int -> attempt:int -> bool
+
+(** [commit_point t ~src ~epoch0 ~log ~commit ~abort] runs a validated
+    transaction's LOG and COMMIT under the commit fence. [log d] sends
+    LOG with every record stamped [d] and returns what [commit] needs.
+    - Un-armed: [commit (log (ref Dcommit))]; [`Committed].
+    - Armed, fence refused (counted as [fence_refusals]: the
+      coordinator crashed, or the epoch moved past [epoch0]; waits
+      while a reconfiguration is pending): [abort ()] before any LOG
+      byte; [`Retry Stale_epoch].
+    - Armed, coordinator crashed mid-LOG: the decision goes
+      [Dpending] -> [Dabort]; [`Aborted Crashed_owner].
+    - Armed, otherwise: decide [Dcommit] and run [commit] with no
+      suspension in between; [`Committed].
+    Armed, the fence is held from before [log] until the outcome. *)
+val commit_point :
+  t ->
+  src:int ->
+  epoch0:int ->
+  log:(decision ref -> 'a) ->
+  commit:('a -> unit) ->
+  abort:(unit -> unit) ->
+  attempt
 
 (** {1 Armed requests} *)
 

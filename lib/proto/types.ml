@@ -2,8 +2,6 @@ open Xenic_cluster
 
 type txn_id = { coord : int; seq : int }
 
-let pp_txn_id fmt t = Format.fprintf fmt "%d:%d" t.coord t.seq
-
 type view = Keyspace.t -> bytes option
 
 type exec_result =

@@ -4,8 +4,6 @@ open Xenic_cluster
 
 type txn_id = { coord : int; seq : int }
 
-val pp_txn_id : Format.formatter -> txn_id -> unit
-
 (** The read view passed to a transaction's execution function:
     [None] means the key does not exist. *)
 type view = Keyspace.t -> bytes option

@@ -28,8 +28,4 @@ val log_record_b : ops:Xenic_cluster.Op.t list -> int
     and the RDMA systems. *)
 val read_req_b : int
 
-val read_resp_b : value_bytes:int -> int
-
 val lock_req_b : int
-
-val unlock_req_b : int

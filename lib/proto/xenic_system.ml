@@ -1049,75 +1049,27 @@ let distributed_txn t node (txn : Types.t) id :
           | `Invalid ->
               abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
               `Aborted Metrics.Validation_failure
+          | `Valid when ops = [] ->
+              (* Nothing written: release any locks and commit. *)
+              abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
+              oracle_commit t ~id ~values ~lock_versions ~seq_ops:[];
+              `Committed
           | `Valid ->
-              if ops = [] && locked_keys = [] then begin
-                oracle_commit t ~id ~values ~lock_versions ~seq_ops:[];
-                `Committed
-              end
-              else if ops = [] then begin
-                (* Locked but nothing written: release and commit. *)
-                abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
-                oracle_commit t ~id ~values ~lock_versions ~seq_ops:[];
-                `Committed
-              end
-              else begin
-                let seq_ops = Txn_runtime.seq_ops_of ~lock_versions ops in
-                let seq_ops_by_shard =
-                  group_by_shard (List.map (fun (op, _) -> Op.key op) seq_ops)
-                  |> List.map (fun (shard, keys) ->
-                         ( shard,
-                           List.filter
-                             (fun (op, _) -> List.mem (Op.key op) keys)
-                             seq_ops ))
-                in
-                if not (Txn_runtime.armed t.rt) then begin
-                  (* Legacy fast path: no fence, records born decided. *)
+              let seq_ops = Txn_runtime.seq_ops_of ~lock_versions ops in
+              let seq_ops_by_shard = Txn_runtime.group_ops_by_shard seq_ops in
+              Txn_runtime.commit_point t.rt ~src ~epoch0
+                ~log:(fun decision ->
                   Attrib.set_phase "log";
-                  log_phase t ~src ~decision:(ref Txn_runtime.Dcommit)
-                    ~seq_ops_by_shard;
-                  let t4 = mark "log" t3 in
+                  log_phase t ~src ~decision ~seq_ops_by_shard;
+                  mark "log" t3)
+                ~commit:(fun t4 ->
+                  oracle_commit t ~id ~values ~lock_versions ~seq_ops;
                   Attrib.set_phase "commit";
                   commit_phase t ~src ~owner ~locks_by_shard:acquired
                     ~seq_ops_by_shard;
-                  oracle_commit t ~id ~values ~lock_versions ~seq_ops;
-                  ignore (mark "commit" t4);
-                  `Committed
-                end
-                else if not (Txn_runtime.fence_acquire t.rt ~src ~epoch0) then begin
-                  (* Configuration moved (or we crashed) between
-                     validation and commit: abort cleanly before any
-                     LOG byte is sent, so no replica diverges. *)
-                  abort_everywhere t ~src ~owner ~locks_by_shard:acquired;
-                  `Retry Metrics.Stale_epoch
-                end
-                else begin
-                  let decision = ref Txn_runtime.Dpending in
-                  Attrib.set_phase "log";
-                  log_phase t ~src ~decision ~seq_ops_by_shard;
-                  let t4 = mark "log" t3 in
-                  if t.rt.crashed.(src) then begin
-                    (* We died mid-LOG: never decide. Backups discard
-                       the pending records; our locks die with us or
-                       are swept at the declaration. *)
-                    decision := Txn_runtime.Dabort;
-                    Txn_runtime.fence_release t.rt;
-                    `Aborted Metrics.Crashed_owner
-                  end
-                  else begin
-                    (* Commit point: one atomic step — no suspension
-                       between deciding and handing COMMIT to the
-                       fabric, so a crash cannot split them. *)
-                    decision := Txn_runtime.Dcommit;
-                    oracle_commit t ~id ~values ~lock_versions ~seq_ops;
-                    Attrib.set_phase "commit";
-                    commit_phase t ~src ~owner ~locks_by_shard:acquired
-                      ~seq_ops_by_shard;
-                    Txn_runtime.fence_release t.rt;
-                    ignore (mark "commit" t4);
-                    `Committed
-                  end
-                end
-              end
+                  ignore (mark "commit" t4))
+                ~abort:(fun () ->
+                  abort_everywhere t ~src ~owner ~locks_by_shard:acquired)
     in
     rounds ~values ~lock_versions ~acquired ~locked_keys:txn.write_set
       ~requested:locks_by_shard_keys ~round:1
@@ -1232,22 +1184,13 @@ let multihop_txn t node (txn : Types.t) id :
                     | Types.Done ops ->
                     let lock_versions = local_lockv @ remote_lockv in
                     let seq_ops = Txn_runtime.seq_ops_of ~lock_versions ops in
-                    let by_shard =
-                      List.sort_uniq compare
-                        (List.map (fun (op, _) -> Keyspace.shard (Op.key op)) seq_ops)
-                      |> List.map (fun s ->
-                             ( s,
-                               List.filter
-                                 (fun (op, _) -> Keyspace.shard (Op.key op) = s)
-                                 seq_ops ))
-                    in
                     let backups =
                       List.concat_map
                         (fun (shard, seq_ops) ->
                           List.map
                             (fun b -> (shard, b, seq_ops))
                             (Txn_runtime.backups_of t.rt ~shard))
-                        by_shard
+                        (Txn_runtime.group_ops_by_shard seq_ops)
                     in
                     let expected = ref (List.length backups) in
                     let p1_seq_ops =
@@ -1463,54 +1406,29 @@ let local_txn t node ~shard (txn : Types.t) id :
     | `Ok lock_versions ->
         let t2 = mark "validate" t1 in
         let seq_ops = Txn_runtime.seq_ops_of ~lock_versions ops in
-        if not (Txn_runtime.armed t.rt) then begin
-          Attrib.set_phase "log";
-          log_phase t ~src ~decision:(ref Txn_runtime.Dcommit)
-            ~seq_ops_by_shard:[ (shard, seq_ops) ];
-          ignore (mark "log" t2);
-          (* Committed: report to the host; apply the commit at our own
-             NIC asynchronously. *)
-          let t_send = Engine.now t.rt.engine in
-          Process.spawn t.rt.engine (fun () ->
-              Attrib.set_phase "commit-async";
-              commit_handler t node ~owner ~shard ~seq_ops
-                ~locked:txn.write_set ();
-              commit_async_mark t ~src ~seq:id.Types.seq t_send);
-          Smartnic.host_msg node.nic;
-          oracle_commit t ~id ~values ~lock_versions ~seq_ops;
-          `Committed
-        end
-        else if not (Txn_runtime.fence_acquire t.rt ~src ~epoch0) then begin
-          abort_handler t node ~owner ~locked:txn.write_set ();
-          Smartnic.host_msg node.nic;
-          `Retry Metrics.Stale_epoch
-        end
-        else begin
-          let decision = ref Txn_runtime.Dpending in
-          Attrib.set_phase "log";
-          log_phase t ~src ~decision ~seq_ops_by_shard:[ (shard, seq_ops) ];
-          ignore (mark "log" t2);
-          if t.rt.crashed.(src) then begin
-            (* Crashed mid-LOG: the pending backup records are
-               discarded; our locks die with the NIC. *)
-            decision := Txn_runtime.Dabort;
-            Txn_runtime.fence_release t.rt;
-            `Aborted Metrics.Crashed_owner
-          end
-          else begin
-            decision := Txn_runtime.Dcommit;
-            oracle_commit t ~id ~values ~lock_versions ~seq_ops;
-            let t_send = Engine.now t.rt.engine in
-            Process.spawn t.rt.engine (fun () ->
-                Attrib.set_phase "commit-async";
-                commit_handler t node ~owner ~shard ~seq_ops
-                  ~locked:txn.write_set ();
-                commit_async_mark t ~src ~seq:id.Types.seq t_send);
-            Txn_runtime.fence_release t.rt;
-            Smartnic.host_msg node.nic;
-            `Committed
-          end
-        end
+        let result =
+          Txn_runtime.commit_point t.rt ~src ~epoch0
+            ~log:(fun decision ->
+              Attrib.set_phase "log";
+              log_phase t ~src ~decision ~seq_ops_by_shard:[ (shard, seq_ops) ];
+              ignore (mark "log" t2))
+            ~commit:(fun () ->
+              oracle_commit t ~id ~values ~lock_versions ~seq_ops;
+              (* Apply the commit at our own NIC asynchronously. *)
+              let t_send = Engine.now t.rt.engine in
+              Process.spawn t.rt.engine (fun () ->
+                  Attrib.set_phase "commit-async";
+                  commit_handler t node ~owner ~shard ~seq_ops
+                    ~locked:txn.write_set ();
+                  commit_async_mark t ~src ~seq:id.Types.seq t_send))
+            ~abort:(abort_handler t node ~owner ~locked:txn.write_set)
+        in
+        (* Report the outcome to the host, unless the coordinator
+           crashed mid-LOG. *)
+        (match result with
+        | `Aborted Metrics.Crashed_owner -> ()
+        | _ -> Smartnic.host_msg node.nic);
+        result
   end
 
 (* ------------------------------------------------------------------ *)

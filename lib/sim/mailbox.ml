@@ -81,8 +81,6 @@ let recv_timeout t ~timeout_ns =
                 resume None
               end))
 
-let recv_opt t = Queue.take_opt t.items
-
 let recv_burst t ~max =
   let rec take n acc =
     if n = 0 then List.rev acc

@@ -27,9 +27,6 @@ val recv : 'a t -> 'a
     instead of the timed-out one; the caller is resumed exactly once. *)
 val recv_timeout : 'a t -> timeout_ns:float -> 'a option
 
-(** Dequeue without blocking. *)
-val recv_opt : 'a t -> 'a option
-
 (** [recv_burst t ~max] dequeues up to [max] immediately-available
     messages (possibly zero), never blocking. *)
 val recv_burst : 'a t -> max:int -> 'a list

@@ -144,6 +144,3 @@ let lookup_cost t k =
       (match scan 1 chain with
       | Some n -> Some (t.h + n, 2)
       | None -> None)
-
-let overflow_fraction t =
-  if size t = 0 then 0.0 else float_of_int t.ovf_size /. float_of_int (size t)

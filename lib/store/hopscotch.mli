@@ -28,6 +28,3 @@ val delete : 'v t -> Kv.Key.t -> bool
     [objects_read] is [h] for a neighborhood hit plus the overflow
     elements scanned otherwise; [roundtrips] is 1 or 2. *)
 val lookup_cost : 'v t -> Kv.Key.t -> (int * int) option
-
-(** Fraction of elements living in overflow chains. *)
-val overflow_fraction : 'v t -> float

@@ -23,7 +23,6 @@ type 'v t = {
   evict_queue : int Queue.t;
   mutable n_cached : int;
   mutable hits : int;
-  mutable misses : int;
 }
 
 let create ?(slack = 1) ?(hint_slots = 4) ~host ~cache_capacity () =
@@ -38,7 +37,6 @@ let create ?(slack = 1) ?(hint_slots = 4) ~host ~cache_capacity () =
     evict_queue = Queue.create ();
     n_cached = 0;
     hits = 0;
-    misses = 0;
   }
 
 let host t = t.host
@@ -66,11 +64,7 @@ let prewarm t =
              Queue.add k t.evict_queue)
    with Exit -> ())
 
-let cached_values t = t.n_cached
-
 let cache_hits t = t.hits
-
-let cache_misses t = t.misses
 
 let seg_of_key t k = Robinhood.home t.host k / t.hint_slots
 
@@ -180,7 +174,6 @@ let read t io k =
       t.hits <- t.hits + 1;
       None
   | _ -> (
-      t.misses <- t.misses + 1;
       let outcome = lookup_dma t io k in
       (* The DMA may have suspended; if a concurrent lock or commit
          created or updated the metadata entry in the meantime, the

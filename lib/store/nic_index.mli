@@ -84,13 +84,9 @@ val host_applied : 'v t -> Kv.Key.t -> unit
 
 (** {2 Introspection} *)
 
-val cached_values : 'v t -> int
-
 val hint : 'v t -> seg:int -> int
 
 val cache_hits : 'v t -> int
-
-val cache_misses : 'v t -> int
 
 (** Re-synchronize all hints with the host's bounds (bulk load). *)
 val sync_hints : 'v t -> unit

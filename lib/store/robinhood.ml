@@ -349,14 +349,3 @@ let iter_home_disp t f =
       if s.occupied then
         f ~home:((pos - s.disp + t.capacity) mod t.capacity) ~disp:s.disp)
     t.slots
-
-let mean_displacement t =
-  let total = ref 0 and n = ref 0 in
-  Array.iter
-    (fun s ->
-      if s.occupied then begin
-        total := !total + s.disp;
-        incr n
-      end)
-    t.slots;
-  if !n = 0 then 0.0 else float_of_int !total /. float_of_int !n

@@ -127,6 +127,3 @@ val iter : 'v t -> (Kv.Key.t -> 'v -> int -> unit) -> unit
 (** Iterate table-resident elements as (home position, displacement) —
     the source for fine-grained NIC hints. *)
 val iter_home_disp : 'v t -> (home:int -> disp:int -> unit) -> unit
-
-(** Mean displacement of table-resident elements (diagnostics). *)
-val mean_displacement : 'v t -> float

@@ -56,6 +56,8 @@ let create ?(window_ns = default_window_ns) engine =
     sealed_end = None;
   }
 
+let shards t = Array.length t.shards
+
 let window_ns t = Wclock.width_ns t.clock
 
 let t0 t = Wclock.t0 t.clock

@@ -44,6 +44,10 @@ type t
     current simulated time. Default window: 100 us. *)
 val create : ?window_ns:float -> Xenic_sim.Engine.t -> t
 
+(** Recording shards: the engine's partition count at [create], at
+    least 1. *)
+val shards : t -> int
+
 val window_ns : t -> float
 
 val t0 : t -> float

@@ -228,40 +228,32 @@ let run ?(seed = 1L) ?(warmup_frac = 0.15) ?(abort_backoff_ns = 3_000.0)
     end
   in
   let duration = st.last_commit -. st.window_started in
-  if st.window_committed = 0 then
-    (* Empty measurement window (warmup >= target, or no commit landed
-       after warmup): report an explicit zero-commit result instead of
-       inventing a window length. *)
-    {
-      tput_per_server = 0.0;
-      median_latency_us = Metrics.median_latency metrics /. 1_000.0;
-      p99_latency_us = Metrics.p99_latency metrics /. 1_000.0;
-      abort_rate = Metrics.abort_rate metrics;
-      committed = Metrics.committed metrics;
-      aborted = Metrics.aborted metrics;
-      duration_ns = 0.0;
-      metrics;
-      profile = prof;
-    }
-  else if Float.compare duration 0.0 <= 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Driver.run (%s): %d commits in a non-positive measurement \
-          window (%.1f ns)"
-         spec.name st.window_committed duration)
-  else
-    {
-      tput_per_server =
-        float_of_int st.window_committed /. (duration /. 1e9)
-        /. float_of_int (List.length coordinators);
-      median_latency_us = Metrics.median_latency metrics /. 1_000.0;
-      p99_latency_us = Metrics.p99_latency metrics /. 1_000.0;
-      abort_rate = Metrics.abort_rate metrics;
-      committed = Metrics.committed metrics;
-      aborted = Metrics.aborted metrics;
-      duration_ns = duration;
-      metrics;
-      profile = prof;
-    }
+  (* An empty measurement window (warmup >= target, or no commit landed
+     after warmup) reports an explicit zero-commit result instead of
+     inventing a window length. *)
+  let tput_per_server, duration_ns =
+    if st.window_committed = 0 then (0.0, 0.0)
+    else if Float.compare duration 0.0 <= 0 then
+      invalid_arg
+        (Printf.sprintf
+           "Driver.run (%s): %d commits in a non-positive measurement \
+            window (%.1f ns)"
+           spec.name st.window_committed duration)
+    else
+      ( float_of_int st.window_committed /. (duration /. 1e9)
+        /. float_of_int (List.length coordinators),
+        duration )
+  in
+  {
+    tput_per_server;
+    median_latency_us = Metrics.median_latency metrics /. 1_000.0;
+    p99_latency_us = Metrics.p99_latency metrics /. 1_000.0;
+    abort_rate = Metrics.abort_rate metrics;
+    committed = Metrics.committed metrics;
+    aborted = Metrics.aborted metrics;
+    duration_ns;
+    metrics;
+    profile = prof;
+  }
 
 let class_committed result ~cls = Metrics.committed_class result.metrics ~cls

@@ -262,6 +262,85 @@ let test_driver_negative_fault_time () =
         (Driver.run sys (sb_spec sys) ~concurrency:4 ~target:50
            ~faults:[ (-1.0, 0) ]))
 
+(* -- Commit point ------------------------------------------------------ *)
+
+(* [Txn_runtime.commit_point] on a bare runtime. The callbacks note the
+   decision and the fence count they observe, so each outcome's ordering
+   rule is checked from inside the step it constrains. Returns the
+   outcome, the notes in order, the final decision and the runtime. *)
+let commit_point_run ~armed ?(setup = ignore) ?(crash_in_log = false) () =
+  let engine = Engine.create ~strict:true () in
+  let rt =
+    Txn_runtime.create engine hw
+      (Config.make ~nodes:4 ~replication:3)
+      ~stack:"test" ~partitions:0
+      ~req_timeout_ns:(if armed then Some req_timeout_ns else None)
+      ~retry_backoff_ns:1_000.0 ~max_retries:3
+  in
+  setup rt;
+  let name = function
+    | Txn_runtime.Dpending -> "pending"
+    | Dcommit -> "commit"
+    | Dabort -> "abort"
+  in
+  let notes = ref [] and decision = ref None and outcome = ref "none" in
+  let note step d =
+    notes :=
+      Printf.sprintf "%s: %s, fence %d" step (name d) rt.inflight_commits
+      :: !notes
+  in
+  Process.spawn engine (fun () ->
+      let r =
+        Txn_runtime.commit_point rt ~src:0 ~epoch0:0
+          ~log:(fun d ->
+            decision := Some d;
+            note "log" !d;
+            if crash_in_log then rt.crashed.(0) <- true;
+            Option.get !decision)
+          ~commit:(fun d -> note "commit" !d)
+          ~abort:(fun () -> notes := "abort" :: !notes)
+      in
+      outcome :=
+        match r with
+        | `Committed -> "committed"
+        | `Aborted reason -> "aborted " ^ Metrics.abort_reason_name reason
+        | `Retry reason -> "retry " ^ Metrics.abort_reason_name reason);
+  ignore (Engine.run engine);
+  (!outcome, List.rev !notes, Option.map (fun d -> name !d) !decision, rt)
+
+let check_commit_point ~outcome ~notes ~decision (o, n, d, rt) =
+  Alcotest.(check string) "outcome" outcome o;
+  Alcotest.(check (list string)) "steps" notes n;
+  Alcotest.(check (option string)) "final decision" decision d;
+  Alcotest.(check int) "fence released" 0 rt.Txn_runtime.inflight_commits
+
+let test_commit_point_unarmed () =
+  check_commit_point ~outcome:"committed"
+    ~notes:[ "log: commit, fence 0"; "commit: commit, fence 0" ]
+    ~decision:(Some "commit")
+    (commit_point_run ~armed:false ())
+
+let test_commit_point_fence_refused () =
+  let ((_, _, _, rt) as run) =
+    commit_point_run ~armed:true ~setup:(fun rt -> rt.epoch <- 1) ()
+  in
+  check_commit_point ~outcome:"retry stale-epoch" ~notes:[ "abort" ]
+    ~decision:None run;
+  Alcotest.(check (float 0.0)) "refusal counted" 1.0
+    (Xenic_stats.Counter.get (Txn_runtime.counters rt) "fence_refusals")
+
+let test_commit_point_crash_mid_log () =
+  check_commit_point ~outcome:"aborted crashed-owner"
+    ~notes:[ "log: pending, fence 1" ]
+    ~decision:(Some "abort")
+    (commit_point_run ~armed:true ~crash_in_log:true ())
+
+let test_commit_point_commit () =
+  check_commit_point ~outcome:"committed"
+    ~notes:[ "log: pending, fence 1"; "commit: commit, fence 1" ]
+    ~decision:(Some "commit")
+    (commit_point_run ~armed:true ())
+
 let () =
   Alcotest.run "xenic_fault"
     [
@@ -294,5 +373,14 @@ let () =
             test_driver_empty_window;
           Alcotest.test_case "negative fault time" `Quick
             test_driver_negative_fault_time;
+        ] );
+      ( "commit point",
+        [
+          Alcotest.test_case "un-armed" `Quick test_commit_point_unarmed;
+          Alcotest.test_case "fence refused" `Quick
+            test_commit_point_fence_refused;
+          Alcotest.test_case "crash mid-LOG" `Quick
+            test_commit_point_crash_mid_log;
+          Alcotest.test_case "commit" `Quick test_commit_point_commit;
         ] );
     ]

@@ -167,8 +167,7 @@ let test_shard_merge () =
 
 let retwis_small = { Retwis.default_params with keys_per_node = 500 }
 
-let mk_xenic_open ~domains () =
-  let engine = Engine.create ~domains () in
+let xenic_open engine =
   let cfg = Config.make ~nodes:4 ~replication:3 in
   let segments, seg_size, d_max = Retwis.store_cfg retwis_small in
   System.of_xenic
@@ -181,6 +180,8 @@ let mk_xenic_open ~domains () =
          cache_capacity = 1024;
          partitions = 2;
        })
+
+let mk_xenic_open ~domains () = xenic_open (Engine.create ~domains ())
 
 let mk_rdma_open flavor ~domains () =
   let engine = Engine.create ~domains () in
@@ -267,6 +268,44 @@ let test_openloop_drain_cutoff () =
   in
   Alcotest.(check int) "windowed commits = driver's in-window commits"
     r.Openloop.committed commits
+
+let test_recorder_before_system () =
+  (* Documented misuse: a recorder created before the system that
+     partitions the engine has one shard for two partitions. Attaching
+     it must fail up front, naming the required order, instead of
+     indexing out of bounds mid-run. *)
+  let engine = Engine.create () in
+  let early = Telemetry.create ~window_ns:100_000.0 engine in
+  let sys = xenic_open engine in
+  Retwis.load retwis_small sys;
+  let t_attach = Engine.now engine in
+  (match
+     Openloop.run ~seed:7L ~service_slots:2 ~users:2_000 ~telemetry:early sys
+       (Retwis.openloop_spec retwis_small)
+       ~phases:
+         [
+           {
+             Openloop.duration_ns = 200_000.0;
+             rate_tps = 300_000.0;
+             theta = 0.5;
+             hot_frac = 0.1;
+           };
+         ]
+   with
+  | _ -> Alcotest.fail "recorder created before the system was accepted"
+  | exception Invalid_argument msg ->
+      let sub = "create the recorder after the system" in
+      let n = String.length sub in
+      let rec has i =
+        i + n <= String.length msg && (String.sub msg i n = sub || has (i + 1))
+      in
+      Alcotest.(check bool) ("message names the order: " ^ msg) true (has 0));
+  Alcotest.(check (float 0.0)) "refused before any event ran" t_attach
+    (Engine.now engine);
+  (* A recorder created after the system attaches. *)
+  Txn_runtime.set_telemetry sys.System.rt
+    (Some (Telemetry.create ~window_ns:100_000.0 engine));
+  Txn_runtime.set_telemetry sys.System.rt None
 
 let test_driver_telemetry_and_ttr () =
   let engine = Engine.create () in
@@ -506,6 +545,8 @@ let () =
             test_openloop_drain_cutoff;
           Alcotest.test_case "driver windows + ttr" `Quick
             test_driver_telemetry_and_ttr;
+          Alcotest.test_case "recorder before system" `Quick
+            test_recorder_before_system;
         ] );
       ( "openmetrics",
         [ Alcotest.test_case "validity" `Quick test_openmetrics_valid ] );
