@@ -23,8 +23,9 @@
    suspending function around counts as potentially calling it.
 
    Resolution is scope-light by design: an unqualified identifier
-   resolves within its own module only; a qualified path resolves
-   through its last module component that names an analyzed file
+   resolves within its own module only (a bare [perform] falls back to
+   [extern:Effect.perform]); a qualified path resolves through its last
+   module component that names an analyzed file
    ([Xenic_store.Nic_index.try_lock] resolves via [Nic_index]). Module
    aliases bound at structure level ([module Rt = Txn_runtime]) are
    expanded first, so [Rt.fn] resolves like [Txn_runtime.fn]. Local
@@ -167,16 +168,27 @@ let expand_aliases t ~scopes mods =
   in
   go 16 scopes mods
 
+(* Unqualified names no analyzed module defines that only an [open] of
+   a stdlib module brings into scope: a bare [perform] is
+   [Effect.perform]. They resolve to that module's extern node, so an
+   effect seed still sees the call (a local binding of the same name
+   can only add an edge). *)
+let opened_stdlib = [ ("perform", "Effect") ]
+
 (* [scopes] is the module-name scope chain for unqualified identifiers,
    innermost first (e.g. ["Sub"; "Process"] inside [module Sub] of
    process.ml). *)
 let resolve t ~scopes lid =
   match split_last (flatten_lid lid) with
   | None -> None
-  | Some ([], fn) ->
-      List.find_map
-        (fun m -> Hashtbl.find_opt t.by_mod_fn (m, fn))
-        scopes
+  | Some ([], fn) -> (
+      match
+        List.find_map (fun m -> Hashtbl.find_opt t.by_mod_fn (m, fn)) scopes
+      with
+      | Some key -> Some key
+      | None ->
+          Option.map (fun m -> extern_key m fn)
+            (List.assoc_opt fn opened_stdlib))
   | Some (mods, fn) -> (
       let mods = expand_aliases t ~scopes mods in
       let rec try_mods = function

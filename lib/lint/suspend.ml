@@ -2,12 +2,13 @@
 
    Seeded by the simulator's primitive suspension points — the
    operations that park the calling process on the engine and resume it
-   at a later simulated instant — and propagated backwards through the
-   call graph to a fixpoint: a definition may suspend iff it references
-   (so may call) anything that may suspend, including through the
-   record-field closure channel ([field:*] nodes) and through qualified
-   externs, so the inference still works on partial file sets (unit
-   tests, per-directory runs).
+   at a later simulated instant — plus [Effect.perform] itself (bare or
+   qualified), and propagated backwards through the call graph to a
+   fixpoint: a definition may suspend iff it references (so may call)
+   anything that may suspend, including through the record-field
+   closure channel ([field:*] nodes) and through qualified externs, so
+   the inference still works on partial file sets (unit tests,
+   per-directory runs).
 
    Deliberately NOT seeds:
    - [Engine.after]/[Engine.at]: they schedule a callback and return —
@@ -32,6 +33,9 @@ let seeds =
     ("Mailbox", "recv_timeout");
     ("Resource", "acquire");
     ("Resource", "use");
+    (* Every suspension above bottoms out in an effect; seeding the raw
+       operation keeps a new effect from hiding one. *)
+    ("Effect", "perform");
   ]
 
 let seed_keys =

@@ -28,6 +28,27 @@ type xev = {
   x_fn : unit -> unit;
 }
 
+(* A sleep's arguments on their way to the process layer's handler
+   (see the interface). One per partition, plus the engine's for
+   single-heap runs and code outside any window: only the domain
+   draining a partition touches its slot, so no two domains share one. *)
+type slot = {
+  s_part : int;  (* owning partition; -1 for the engine's own slot *)
+  mutable s_delay : float;
+  mutable s_node : int option;
+  mutable s_sleep : unit Effect.t option;
+  mutable s_on_sleep : ((unit, unit) Effect.Deep.continuation -> unit) option;
+}
+
+let make_slot part =
+  {
+    s_part = part;
+    s_delay = 0.0;
+    s_node = None;
+    s_sleep = None;
+    s_on_sleep = None;
+  }
+
 type t = {
   mutable now : float;
   mutable seq : int;
@@ -45,6 +66,9 @@ type t = {
   mutable node_part : int -> int;
   mutable lookahead : float;
   mutable horizon : float;  (* the running window's bound *)
+  slot : slot;  (* single-heap runs and code outside any window *)
+  mutable handler : (unit, unit) Effect.Deep.handler option;
+      (* the process layer's, built on first spawn *)
 }
 
 and part = {
@@ -60,13 +84,14 @@ and part = {
   mutable p_cur_seq : int;
   mutable p_cur_k : int;  (* ... and how many schedules it has issued *)
   p_out : xev Xchan.t array;  (* handoffs, one channel per destination *)
+  p_slot : slot;
 }
 
 (* The partition whose window drain is running on this domain, if any:
    set for the span of a drain, so schedules from its events resolve
    their origin without threading the partition through every model
    layer. The key itself is immutable; the default is "no partition". *)
-let cur_slot : part option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let cur_part : part option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 (* Default domain count, read once per process: `XENIC_DOMAINS=n` makes
    every engine (whose creator does not pass ~domains) an n-domain one.
@@ -100,6 +125,8 @@ let create ?(strict = false) ?domains () =
     node_part = (fun _ -> 0);
     lookahead = 0.0;
     horizon = infinity;
+    slot = make_slot (-1);
+    handler = None;
   }
 
 let partitions t = Array.length t.parts
@@ -107,12 +134,12 @@ let partitions t = Array.length t.parts
 let now t =
   if Array.length t.parts = 0 then t.now
   else
-    match Domain.DLS.get cur_slot with
+    match Domain.DLS.get cur_part with
     | Some p when p.p_eng == t -> p.p_now
     | _ -> t.now
 
 let current_partition t =
-  match Domain.DLS.get cur_slot with
+  match Domain.DLS.get cur_part with
   | Some p when p.p_eng == t -> p.p_id
   | _ -> 0
 
@@ -176,6 +203,7 @@ let set_topology ~lookahead ?(channel_capacity = 8192) t ~partitions
           p_out =
             Array.init partitions (fun _ ->
                 Xchan.create ~capacity:channel_capacity ~dummy:dummy_x);
+          p_slot = make_slot i;
         });
   t.node_part <-
     (fun n ->
@@ -188,50 +216,52 @@ let set_topology ~lookahead ?(channel_capacity = 8192) t ~partitions
       p);
   t.lookahead <- lookahead
 
-(* Partitioned scheduling: local schedules draw from the partition's
-   window block; cross-partition schedules must respect the lookahead
-   bound and are deferred to the barrier with their parent's identity
-   as the merge key. *)
+(* Partitioned scheduling from inside [p]'s window drain: local
+   schedules draw from the partition's window block; cross-partition
+   schedules must respect the lookahead bound and are deferred to the
+   barrier with their parent's identity as the merge key. *)
+let schedule_in t p node time f =
+  let dst = match node with Some n -> t.node_part n | None -> p.p_id in
+  if dst = p.p_id then begin
+    if p.p_seq_next >= p.p_seq_limit then
+      invalid_arg
+        (Printf.sprintf
+           "Engine: partition %d exhausted its %d-event window block" p.p_id
+           seq_block);
+    let s = p.p_seq_next in
+    p.p_seq_next <- s + 1;
+    Heap.push p.p_heap ~time ~seq:s f
+  end
+  else begin
+    if time < t.horizon then
+      invalid_arg
+        (Printf.sprintf
+           "Engine: cross-partition event at %.1f violates the lookahead \
+            bound (window horizon %.1f)"
+           time t.horizon);
+    let k = p.p_cur_k in
+    p.p_cur_k <- k + 1;
+    let x =
+      {
+        x_time = time;
+        x_ptime = p.p_cur_time;
+        x_pseq = p.p_cur_seq;
+        x_k = k;
+        x_fn = f;
+      }
+    in
+    if not (Xchan.push p.p_out.(dst) x) then
+      invalid_arg
+        (Printf.sprintf
+           "Engine: cross-partition channel %d->%d full (capacity %d); \
+            raise ?channel_capacity"
+           p.p_id dst
+           (Xchan.capacity p.p_out.(dst)))
+  end
+
 let schedule_part t node time f =
-  match Domain.DLS.get cur_slot with
-  | Some p when p.p_eng == t ->
-      let dst = match node with Some n -> t.node_part n | None -> p.p_id in
-      if dst = p.p_id then begin
-        if p.p_seq_next >= p.p_seq_limit then
-          invalid_arg
-            (Printf.sprintf
-               "Engine: partition %d exhausted its %d-event window block"
-               p.p_id seq_block);
-        let s = p.p_seq_next in
-        p.p_seq_next <- s + 1;
-        Heap.push p.p_heap ~time ~seq:s f
-      end
-      else begin
-        if time < t.horizon then
-          invalid_arg
-            (Printf.sprintf
-               "Engine: cross-partition event at %.1f violates the \
-                lookahead bound (window horizon %.1f)"
-               time t.horizon);
-        let k = p.p_cur_k in
-        p.p_cur_k <- k + 1;
-        let x =
-          {
-            x_time = time;
-            x_ptime = p.p_cur_time;
-            x_pseq = p.p_cur_seq;
-            x_k = k;
-            x_fn = f;
-          }
-        in
-        if not (Xchan.push p.p_out.(dst) x) then
-          invalid_arg
-            (Printf.sprintf
-               "Engine: cross-partition channel %d->%d full (capacity %d); \
-                raise ?channel_capacity"
-               p.p_id dst
-               (Xchan.capacity p.p_out.(dst)))
-      end
+  match Domain.DLS.get cur_part with
+  | Some p when p.p_eng == t -> schedule_in t p node time f
   | _ ->
       (* Outside any window (setup code, between runs): the global
          counter is free and the heaps are quiescent. *)
@@ -239,11 +269,13 @@ let schedule_part t node time f =
       t.seq <- t.seq + 1;
       Heap.push t.parts.(dst).p_heap ~time ~seq:t.seq f
 
+let reject_past time cur =
+  invalid_arg
+    (Printf.sprintf "Engine.at: time %.1f is before now %.1f" time cur)
+
 let at ?node t time f =
   let cur = now t in
-  if time < cur then
-    invalid_arg
-      (Printf.sprintf "Engine.at: time %.1f is before now %.1f" time cur);
+  if time < cur then reject_past time cur;
   if Array.length t.parts = 0 then begin
     t.seq <- t.seq + 1;
     Heap.push t.heap ~time ~seq:t.seq f
@@ -251,6 +283,31 @@ let at ?node t time f =
   else schedule_part t node time f
 
 let after ?node t delay f = at ?node t (now t +. delay) f
+
+(* ------------------------------------------------------------------ *)
+(* Process-layer slots. *)
+
+let slot t =
+  if Array.length t.parts = 0 then t.slot
+  else
+    match Domain.DLS.get cur_part with
+    | Some p when p.p_eng == t -> p.p_slot
+    | _ -> t.slot
+
+(* [after ?node:s.s_node t s.s_delay f], with the partition already
+   resolved by {!slot}: no further domain-local lookups. *)
+let wake t s f =
+  if s.s_part < 0 then after ?node:s.s_node t s.s_delay f
+  else begin
+    let p = t.parts.(s.s_part) in
+    let time = p.p_now +. s.s_delay in
+    if time < p.p_now then reject_past time p.p_now;
+    schedule_in t p s.s_node time f
+  end
+
+let handler t = t.handler
+
+let set_handler t h = t.handler <- Some h
 
 (* ------------------------------------------------------------------ *)
 (* Legacy single-heap loop — the simulator's single hot path; see the
@@ -319,13 +376,13 @@ let global_min parts =
 (* Drain one partition for the window: every event strictly below the
    horizon (and within [until]), in the partition heap's (time, seq)
    order. Runs with the partition's ambient Attrib state installed and
-   the partition registered in [cur_slot] so its schedules resolve
+   the partition registered in [cur_part] so its schedules resolve
    their origin. *)
 let drain_window ~until t p =
   let prev = Attrib.install p.p_attrib in
-  Domain.DLS.set cur_slot (Some p);
+  Domain.DLS.set cur_part (Some p);
   let finish () =
-    Domain.DLS.set cur_slot None;
+    Domain.DLS.set cur_part None;
     ignore (Attrib.install prev)
   in
   Fun.protect ~finally:finish @@ fun () ->

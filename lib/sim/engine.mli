@@ -112,6 +112,39 @@ val set_attrib_enabled : t -> bool -> unit
 (** Reset the ambient context(s) to {!Attrib.default}. *)
 val reset_attrib : t -> unit
 
+(** {2 Process-layer slots}
+
+    Plumbing for {!Process}; model code never needs it. A slot holds
+    the arguments of one [Process.sleep] on their way to the process
+    layer's effect handler, so a sleep allocates no payload: one slot
+    belongs to the engine, one to each partition, and only the domain
+    draining a partition touches that partition's slot. The two option
+    fields are the process layer's, filled on first use. *)
+
+type slot = {
+  s_part : int;  (** owning partition; -1 for the engine's own slot *)
+  mutable s_delay : float;
+  mutable s_node : int option;
+  mutable s_sleep : unit Effect.t option;
+      (** the effect [Process.sleep] performs for this slot *)
+  mutable s_on_sleep : ((unit, unit) Effect.Deep.continuation -> unit) option;
+      (** the handler's answer to [s_sleep] *)
+}
+
+(** The slot of the calling context: the executing partition's inside
+    one of its windows, the engine's otherwise. *)
+val slot : t -> slot
+
+(** [wake t s f] is [after ?node:s.s_node t s.s_delay f] from the
+    context [s] was resolved in, without resolving it again. *)
+val wake : t -> slot -> (unit -> unit) -> unit
+
+(** The process layer's effect handler, shared by every process on the
+    engine; [None] until the first {!Process.spawn} builds it. *)
+val handler : t -> (unit, unit) Effect.Deep.handler option
+
+val set_handler : t -> (unit, unit) Effect.Deep.handler -> unit
+
 (** {2 Sanitizer plumbing}
 
     Used by the sim primitives; applications normally only call

@@ -3,7 +3,24 @@
     A process is a plain [unit -> unit] function started with {!spawn}.
     Inside a process, {!sleep} advances simulated time and {!suspend}
     parks the process until a component resumes it — these are the only
-    blocking points. Blocking outside a process raises {!Not_in_process}. *)
+    blocking points. Blocking outside a process raises {!Not_in_process}.
+
+    Every process on an engine runs under one effect handler, built by
+    the engine's first {!spawn}. It handles two effects:
+
+    - [Sleep], performed by {!sleep} (and {!yield}): the delay and node
+      travel in the engine's (or the executing partition's)
+      {!Engine.slot}, the effect value is preallocated per slot, and
+      the handler schedules the continuation itself, so a sleep
+      allocates only the continuation and its wakeup event.
+    - [Suspend], the generic path behind {!suspend}: the caller's
+      [register] receives a one-shot [resume]. On a strict engine each
+      suspension checks its own [resume] against a second call.
+
+    Both save the process's {!Attrib} context at suspension and
+    reinstall it for the resumed body. The swap runs whether or not the
+    profiler is on: transaction commit and abort read the context's
+    class to label Telemetry and Trace events. *)
 
 exception Not_in_process
 

@@ -177,6 +177,48 @@ let test_windowed_domain_parity () =
   Alcotest.(check string) "event count and final time identical" t1 t2;
   Alcotest.(check string) "per-node digests identical" d1 d2
 
+(* Sleeps hand their delay to the effect handler through a slot; each
+   partition has its own, touched only by the domain draining it. Many
+   processes on both partitions sleep with partition-specific delays in
+   the same windows: every one must wake at exactly its own
+   [now + delay] (a slot shared across domains would let one
+   partition's delay leak into the other's wakeup), and 1- and 2-domain
+   runs must agree. *)
+let run_sleepers ~domains =
+  let eng = Engine.create ~domains () in
+  Engine.set_topology ~lookahead:50.0 eng ~partitions:2
+    ~node_partition:(fun n -> n mod 2);
+  let procs = 32 and naps = 2000 in
+  let late = Array.make 2 0 and log = Array.make 2 0 in
+  for node = 0 to 1 do
+    for p = 0 to procs - 1 do
+      Engine.at ~node eng 1.0 (fun () ->
+          Process.spawn eng (fun () ->
+              for i = 1 to naps do
+                let delay =
+                  if node = 0 then 1.0 +. (0.125 *. float_of_int (p mod 5))
+                  else 1.0625 +. (0.125 *. float_of_int ((p + i) mod 5))
+                in
+                let t0 = Engine.now eng in
+                if i mod 2 = 0 then Process.sleep ~node eng delay
+                else Process.sleep eng delay;
+                if not (Float.equal (Engine.now eng) (t0 +. delay)) then
+                  late.(node) <- late.(node) + 1;
+                log.(node) <- mix log.(node) (p + Hashtbl.hash (Engine.now eng))
+              done))
+    done
+  done;
+  let events = Engine.run eng in
+  (events, late, log)
+
+let test_partition_sleep_slots () =
+  let e1, late1, log1 = run_sleepers ~domains:1 in
+  let e2, late2, log2 = run_sleepers ~domains:2 in
+  Alcotest.(check (array int)) "1 domain: every wake on time" [| 0; 0 |] late1;
+  Alcotest.(check (array int)) "2 domains: every wake on time" [| 0; 0 |] late2;
+  Alcotest.(check int) "same event count" e1 e2;
+  Alcotest.(check (array int)) "same wake log" log1 log2
+
 (* Cross-partition schedules inside a window below the horizon must be
    rejected deterministically, not silently reordered. *)
 let test_windowed_horizon_enforced () =
@@ -273,6 +315,8 @@ let () =
             test_windowed_domain_parity;
           Alcotest.test_case "horizon enforced" `Quick
             test_windowed_horizon_enforced;
+          Alcotest.test_case "partition-local sleep slots" `Quick
+            test_partition_sleep_slots;
         ] );
       ( "single-heap mode",
         [

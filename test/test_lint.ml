@@ -278,6 +278,31 @@ let test_suspend_fixpoint () =
     [ "Caller.go"; "Work.helper"; "Work.outer" ]
     inv
 
+let test_suspend_raw_perform () =
+  (* A module with its own effect: performing it parks the caller just
+     like [Process.sleep], qualified or after [open Effect]. *)
+  let files =
+    [
+      parsed "lib/x/coop.ml"
+        "type _ Effect.t += Pause : unit Effect.t\n\
+         let pause () = Effect.perform Pause\n\
+         let worker () = pause (); 1\n\
+         let calm () = 2\n";
+      parsed "lib/x/opened.ml"
+        "open Effect\n\
+         type _ Effect.t += Nap : unit Effect.t\n\
+         let nap () = perform Nap\n";
+      parsed "lib/x/user.ml" "let go () = Opened.nap ()\n";
+    ]
+  in
+  let s = Suspend.infer (graph_of files) in
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) (key ^ " marked") true (Suspend.may_suspend s key))
+    [ "Coop.pause"; "Coop.worker"; "Opened.nap"; "User.go" ];
+  Alcotest.(check bool) "Coop.calm not marked" false
+    (Suspend.may_suspend s "Coop.calm")
+
 let test_suspend_field_channel () =
   (* A suspending closure parked in a record field carries the effect to
      every call through a field of that name. *)
@@ -533,6 +558,8 @@ let () =
       ( "analyzer",
         [
           Alcotest.test_case "suspend fixpoint" `Quick test_suspend_fixpoint;
+          Alcotest.test_case "suspend raw perform" `Quick
+            test_suspend_raw_perform;
           Alcotest.test_case "suspend module alias" `Quick
             test_suspend_module_alias;
           Alcotest.test_case "suspend module alias scope" `Quick

@@ -288,9 +288,84 @@ let test_process_parallel () =
     [ (30.0, [ 1; 2; 3 ]) ]
     !result
 
+(* Results come back in thunk order whichever child finishes first,
+   including unboxed floats and children that never suspend. *)
+let test_process_parallel_floats () =
+  let eng = Engine.create () in
+  let result = ref [] in
+  Process.spawn eng (fun () ->
+      result :=
+        Process.parallel eng
+          [
+            (fun () ->
+              Process.sleep eng 5.0;
+              1.5);
+            (fun () -> 2.5);
+            (fun () ->
+              Process.yield eng;
+              3.5);
+          ]);
+  ignore (Engine.run eng);
+  Alcotest.(check (list (float 0.0))) "ordered" [ 1.5; 2.5; 3.5 ] !result
+
 let test_suspend_outside_process () =
-  Alcotest.check_raises "not in process" Process.Not_in_process (fun () ->
-      ignore (Process.suspend (fun _ -> ())))
+  let eng = Engine.create () in
+  Alcotest.check_raises "suspend" Process.Not_in_process (fun () ->
+      ignore (Process.suspend (fun _ -> ())));
+  Alcotest.check_raises "sleep" Process.Not_in_process (fun () ->
+      Process.sleep eng 1.0);
+  Alcotest.check_raises "sleep ~node" Process.Not_in_process (fun () ->
+      Process.sleep ~node:0 eng 1.0);
+  Alcotest.check_raises "yield" Process.Not_in_process (fun () ->
+      Process.yield eng);
+  Alcotest.(check bool) "nothing scheduled" true (Engine.idle eng)
+
+(* Allocation ratchet for the suspension path: minor-heap words per
+   operation on a bare engine, averaged over 10k operations run inside
+   one process. Each bound is the figure measured when the shared
+   handler and the slot-based sleep went in, plus 2 words of headroom
+   (before them: sleep 32, Resource.use 38, spawn 14, parallel 136). A
+   change that puts a closure or a box back on this path fails here
+   before it shows up as words per transaction. *)
+let words_per_op ~setup =
+  let n = 10_000 in
+  let eng = Engine.create () in
+  let op = setup eng in
+  (* Build the shared handler and arm the engine's sleep slot first. *)
+  Process.spawn eng (fun () -> Process.yield eng);
+  ignore (Engine.run eng);
+  let before = Gc.minor_words () in
+  Process.spawn eng (fun () ->
+      for _ = 1 to n do
+        op ()
+      done);
+  ignore (Engine.run eng);
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_alloc_ratchet () =
+  let check name bound setup =
+    let w = words_per_op ~setup in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.2f words/op <= %d" name w bound)
+      true
+      (w <= float_of_int bound)
+  in
+  check "sleep" 13 (fun eng () -> Process.sleep eng 1.0);
+  check "sleep ~node" 13 (fun eng () -> Process.sleep ~node:1 eng 1.0);
+  check "Resource.use" 19 (fun eng ->
+      let r = Resource.create eng ~name:"idle" ~servers:1 in
+      fun () -> Resource.use r 1.0);
+  check "spawn" 7 (fun eng () -> Process.spawn eng ignore);
+  check "parallel of 2" 71 (fun eng ->
+      let thunks =
+        [
+          (fun () ->
+            Process.sleep eng 1.0;
+            1);
+          (fun () -> 2);
+        ]
+      in
+      fun () -> ignore (Process.parallel eng thunks))
 
 (* ------------------------------------------------------------------ *)
 (* Mailbox *)
@@ -459,6 +534,42 @@ let test_sanitizer_double_resume () =
   ignore (Engine.run eng);
   Alcotest.(check (list string)) "woke exactly once" [ "woke" ] !order;
   check_violation "double resume" "resumed twice" (Engine.sanitize eng)
+
+(* Every process on an engine shares one effect handler, so the
+   one-shot check must live in each suspension, not in the handler: two
+   processes that each double-resume their own [suspend] give one
+   violation apiece, and a third, well-behaved process adds none. *)
+let test_sanitizer_double_resume_shared () =
+  let eng = Engine.create ~strict:true () in
+  let woke = ref [] in
+  let double name t =
+    Process.spawn eng (fun () ->
+        Process.suspend (fun resume ->
+            Engine.after eng t (fun () -> resume ());
+            Engine.after eng (t +. 1.0) (fun () -> resume ()));
+        woke := name :: !woke)
+  in
+  double "a" 1.0;
+  double "b" 1.5;
+  ignore (Engine.run eng);
+  let twice () =
+    List.length
+      (List.filter (fun v -> contains v "resumed twice") (Engine.sanitize eng))
+  in
+  Alcotest.(check int) "one violation per double resume" 2 (twice ());
+  (* Plain sleeps skip the one-shot check (the engine owns their
+     continuation) and must record nothing either. *)
+  Process.spawn eng (fun () ->
+      Process.suspend (fun resume -> Engine.after eng 1.0 resume);
+      Process.sleep eng 2.0;
+      Process.sleep ~node:3 eng 1.0;
+      Process.yield eng;
+      woke := "c" :: !woke);
+  ignore (Engine.run eng);
+  Alcotest.(check int) "well-behaved process adds nothing" 2
+    (List.length (Engine.sanitize eng));
+  Alcotest.(check (list string)) "each woke once" [ "a"; "b"; "c" ]
+    (List.rev !woke)
 
 let test_sanitizer_off_by_default () =
   let eng = Engine.create () in
@@ -738,7 +849,10 @@ let () =
         [
           Alcotest.test_case "sleep timeline" `Quick test_process_sleep;
           Alcotest.test_case "parallel join" `Quick test_process_parallel;
+          Alcotest.test_case "parallel floats" `Quick
+            test_process_parallel_floats;
           Alcotest.test_case "suspend outside" `Quick test_suspend_outside_process;
+          Alcotest.test_case "allocation ratchet" `Quick test_alloc_ratchet;
         ] );
       ( "mailbox",
         [
@@ -763,6 +877,8 @@ let () =
           Alcotest.test_case "undelivered mailbox" `Quick
             test_sanitizer_undelivered_mailbox;
           Alcotest.test_case "double resume" `Quick test_sanitizer_double_resume;
+          Alcotest.test_case "double resume, shared handler" `Quick
+            test_sanitizer_double_resume_shared;
           Alcotest.test_case "off by default" `Quick
             test_sanitizer_off_by_default;
         ] );
