@@ -30,7 +30,6 @@ let seeds =
     ("Ivar", "read");
     ("Ivar", "read_timeout");
     ("Mailbox", "recv");
-    ("Mailbox", "recv_timeout");
     ("Resource", "acquire");
     ("Resource", "use");
     (* Every suspension above bottoms out in an effect; seeding the raw

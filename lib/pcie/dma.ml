@@ -102,8 +102,7 @@ let next_queue t =
 
 let blocking t kind ?queue ~bytes () =
   let queue = match queue with Some q -> q | None -> next_queue t in
-  Process.suspend (fun resume ->
-      submit t kind ~bytes ~queue (fun () -> resume ()))
+  Process.suspend (fun resume -> submit t kind ~bytes ~queue resume)
 
 let read ?queue t ~bytes = blocking t Read ?queue ~bytes ()
 

@@ -1,41 +1,27 @@
-(* Receivers park as cells rather than bare continuations so a blocked
-   receive can be cancelled by a timeout without double-resuming: the
-   first of {send, timer} to run flips [live] and wins.
-
-   Delivery goes through the engine (so the sender keeps running to
-   completion first) via [deliver], a closure built once when the
-   waiter parks; the value crosses over in [pending]. [send] therefore
-   schedules a pre-existing closure instead of allocating a fresh
-   [fun () -> w.k v] per message — this is on the simulator's per-event
-   hot path. *)
-type 'a waiter = {
-  mutable live : bool;
-  k : 'a -> unit;
-  mutable pending : 'a option;
-  mutable deliver : unit -> unit;
-}
-
-let make_waiter k =
-  let w = { live = true; k; pending = None; deliver = ignore } in
-  w.deliver <-
-    (fun () ->
-      match w.pending with
-      | Some v ->
-          w.pending <- None;
-          w.k v
-      | None -> ());
-  w
+(* A parked receiver: its continuation and the context it blocked
+   under, reinstalled when a message wakes it. *)
+type 'a waiter = { k : ('a, unit) Effect.Deep.continuation; ctx : Attrib.ctx }
 
 type 'a t = {
   engine : Engine.t;
   name : string;
   items : 'a Queue.t;
   waiters : 'a waiter Queue.t;
+  park : 'a Effect.t;  (* performed by a blocked [recv] *)
 }
 
 let create ?(name = "<mailbox>") engine =
+  let waiters = Queue.create () in
   let t =
-    { engine; name; items = Queue.create (); waiters = Queue.create () }
+    {
+      engine;
+      name;
+      items = Queue.create ();
+      waiters;
+      park =
+        Process.park_effect (fun k ->
+            Queue.add { k; ctx = Attrib.get () } waiters);
+    }
   in
   Engine.register_check engine (fun () ->
       if Queue.is_empty t.items then []
@@ -48,38 +34,19 @@ let create ?(name = "<mailbox>") engine =
 
 let length t = Queue.length t.items
 
-(* Oldest still-live waiter, discarding timed-out cells. *)
-let rec take_waiter t =
-  match Queue.take_opt t.waiters with
-  | None -> None
-  | Some w -> if w.live then Some w else take_waiter t
-
+(* Delivery goes through the engine, so the sender keeps running to
+   completion first and wakeups stay in deterministic order. *)
 let send t v =
-  match take_waiter t with
-  | Some w ->
-      w.live <- false;
-      w.pending <- Some v;
-      Engine.after t.engine 0.0 w.deliver
+  match Queue.take_opt t.waiters with
+  | Some w -> Process.unpark t.engine w.ctx w.k v
   | None -> Queue.add v t.items
 
 let recv t =
   match Queue.take_opt t.items with
   | Some v -> v
-  | None ->
-      Process.suspend (fun resume -> Queue.add (make_waiter resume) t.waiters)
-
-let recv_timeout t ~timeout_ns =
-  match Queue.take_opt t.items with
-  | Some v -> Some v
-  | None ->
-      Process.suspend (fun resume ->
-          let w = make_waiter (fun v -> resume (Some v)) in
-          Queue.add w t.waiters;
-          Engine.after t.engine timeout_ns (fun () ->
-              if w.live then begin
-                w.live <- false;
-                resume None
-              end))
+  | None -> (
+      try Effect.perform t.park
+      with Effect.Unhandled _ -> raise Process.Not_in_process)
 
 let recv_burst t ~max =
   let rec take n acc =

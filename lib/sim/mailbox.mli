@@ -21,12 +21,6 @@ val send : 'a t -> 'a -> unit
 (** Dequeue the oldest message, blocking until one is available. *)
 val recv : 'a t -> 'a
 
-(** [recv_timeout t ~timeout_ns] blocks like {!recv} but gives up after
-    [timeout_ns] simulated nanoseconds, returning [None]. A message
-    arriving after the timeout goes to the next receiver (or queues)
-    instead of the timed-out one; the caller is resumed exactly once. *)
-val recv_timeout : 'a t -> timeout_ns:float -> 'a option
-
 (** [recv_burst t ~max] dequeues up to [max] immediately-available
     messages (possibly zero), never blocking. *)
 val recv_burst : 'a t -> max:int -> 'a list

@@ -6,6 +6,7 @@ exception Not_in_process
 type _ Effect.t +=
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
   | Sleep : Engine.slot -> unit Effect.t
+  | Park : (('a, unit) continuation -> unit) option -> 'a Effect.t
 
 (* Dynamic scoping of the attribution context: the suspending process's
    context [ctx] travels with its continuation — reinstalled for the
@@ -31,8 +32,10 @@ let arm engine (s : Engine.slot) =
   eff
 
 (* One handler per engine, shared by all its processes. A sleep costs
-   the continuation and its wakeup closure; the generic [Suspend] path
-   keeps its per-suspension one-shot check on a strict engine. *)
+   the continuation and its wakeup closure; a park hands the
+   continuation to the blocking object's own answer; the generic
+   [Suspend] path keeps its per-suspension one-shot check on a strict
+   engine. *)
 let handler engine =
   match Engine.handler engine with
   | Some h -> h
@@ -63,6 +66,7 @@ let handler engine =
                  ((a, unit) continuation -> unit) option ->
               match eff with
               | Sleep s -> s.Engine.s_on_sleep
+              | Park answer -> answer
               | Suspend register -> Some (on_suspend register)
               | _ -> None);
         }
@@ -89,6 +93,10 @@ let sleep ?node engine delay =
   s.s_node <- node;
   let eff = match s.s_sleep with Some eff -> eff | None -> arm engine s in
   try perform eff with Effect.Unhandled _ -> raise Not_in_process
+
+let park_effect answer = Park (Some answer)
+
+let unpark engine ctx k v = Engine.after engine 0.0 (fun () -> resume_in ctx k v)
 
 let with_timeout engine ~timeout_ns f =
   suspend (fun resume ->

@@ -27,9 +27,27 @@ type stat_view = {
   v_services : int;
 }
 
-type grant = { g_ctx : Attrib.ctx; t_grant : float }
+(* An open grant, linked to the next-newer one; the resource's
+   [no_grant] sentinel ends the chain and is never written. *)
+type grant = { g_ctx : Attrib.ctx; t_grant : float; mutable next : grant }
 
-type waiter = { resume : unit -> unit; w_ctx : Attrib.ctx; t_enq : float }
+(* A parked acquirer: its continuation, the context it blocked under
+   (reinstalled when it resumes, and the one its wait and grant are
+   attributed to), and when it joined the queue. *)
+type waiter = {
+  k : (unit, unit) Effect.Deep.continuation;
+  ctx : Attrib.ctx;
+  t_enq : float;
+}
+
+(* All-float, so OCaml stores the fields unboxed and accounting
+   allocates nothing. *)
+type clock = {
+  mutable busy_time : float;
+  mutable last_change : float;
+  mutable queue_area : float;  (* integral of queue length over time *)
+  mutable last_qchange : float;
+}
 
 type t = {
   engine : Engine.t;
@@ -37,28 +55,40 @@ type t = {
   servers : int;
   mutable busy : int;
   waiters : waiter Queue.t;
-  mutable busy_time : float;
-  mutable last_change : float;
-  mutable queue_area : float;  (* integral of queue length over time *)
-  mutable last_qchange : float;
-  mutable grants : grant list;  (* open grants, oldest first *)
+  park : unit Effect.t;  (* performed by a blocked [acquire] *)
+  clock : clock;
+  no_grant : grant;
+  mutable oldest : grant;  (* open grants, oldest to newest *)
+  mutable newest : grant;
   mutable stats : stat Attrib.Ctx_map.t;
 }
 
 let create engine ~name ~servers =
   if servers <= 0 then invalid_arg "Resource.create: servers must be positive";
+  let waiters = Queue.create () in
+  let rec no_grant = { g_ctx = Attrib.default; t_grant = 0.0; next = no_grant } in
   let t =
     {
       engine;
       name;
       servers;
       busy = 0;
-      waiters = Queue.create ();
-      busy_time = 0.0;
-      last_change = 0.0;
-      queue_area = 0.0;
-      last_qchange = 0.0;
-      grants = [];
+      waiters;
+      park =
+        Process.park_effect (fun k ->
+            Queue.add
+              { k; ctx = Attrib.get (); t_enq = Engine.now engine }
+              waiters);
+      clock =
+        {
+          busy_time = 0.0;
+          last_change = 0.0;
+          queue_area = 0.0;
+          last_qchange = 0.0;
+        };
+      no_grant;
+      oldest = no_grant;
+      newest = no_grant;
       stats = Attrib.Ctx_map.empty;
     }
   in
@@ -93,15 +123,17 @@ let in_use t = t.busy
 
 let account t =
   let now = Engine.now t.engine in
-  t.busy_time <- t.busy_time +. (float_of_int t.busy *. (now -. t.last_change));
-  t.last_change <- now
+  let c = t.clock in
+  c.busy_time <- c.busy_time +. (float_of_int t.busy *. (now -. c.last_change));
+  c.last_change <- now
 
 let account_queue t =
   let now = Engine.now t.engine in
-  t.queue_area <-
-    t.queue_area
-    +. (float_of_int (Queue.length t.waiters) *. (now -. t.last_qchange));
-  t.last_qchange <- now
+  let c = t.clock in
+  c.queue_area <-
+    c.queue_area
+    +. (float_of_int (Queue.length t.waiters) *. (now -. c.last_qchange));
+  c.last_qchange <- now
 
 let stat_for t ctx =
   match Attrib.Ctx_map.find_opt ctx t.stats with
@@ -112,56 +144,51 @@ let stat_for t ctx =
       s
 
 let record_wait t ctx dt =
-  if Attrib.enabled () then begin
-    let s = stat_for t ctx in
-    s.wait_ns <- s.wait_ns +. dt;
-    s.waits <- s.waits + 1
-  end
+  let s = stat_for t ctx in
+  s.wait_ns <- s.wait_ns +. dt;
+  s.waits <- s.waits + 1
 
 let open_grant t ctx =
-  if Attrib.enabled () then
-    t.grants <- t.grants @ [ { g_ctx = ctx; t_grant = Engine.now t.engine } ]
+  let g = { g_ctx = ctx; t_grant = Engine.now t.engine; next = t.no_grant } in
+  if t.newest == t.no_grant then t.oldest <- g else t.newest.next <- g;
+  t.newest <- g
 
-(* Detach the first grant matching [ctx]; [None] if none does. *)
-let rec detach ctx = function
-  | [] -> None
-  | g :: rest when Attrib.compare_ctx g.g_ctx ctx = 0 -> Some (g, rest)
-  | g :: rest -> (
-      match detach ctx rest with
-      | Some (g', rest') -> Some (g', g :: rest')
-      | None -> None)
+(* The predecessor of the first grant from [g] (preceded by [prev]) on
+   that matches [ctx]; [no_grant] if none does, so the oldest grant is
+   the fallback. *)
+let rec match_pred t ctx prev g =
+  if g == t.no_grant then t.no_grant
+  else if Attrib.compare_ctx g.g_ctx ctx = 0 then prev
+  else match_pred t ctx g g.next
 
+(* Unlink the first grant matching the ambient context, else the
+   oldest, and record its service time. An empty chain means profiling
+   was enabled mid-hold: nothing to attribute. *)
 let close_grant t =
-  if Attrib.enabled () then
-    match t.grants with
-    | [] -> ()  (* profiling was enabled mid-hold: nothing to attribute *)
-    | g0 :: rest0 ->
-        let g, rest =
-          match detach (Attrib.get ()) t.grants with
-          | Some (g, rest) -> (g, rest)
-          | None -> (g0, rest0)
-        in
-        t.grants <- rest;
-        let s = stat_for t g.g_ctx in
-        s.service_ns <- s.service_ns +. (Engine.now t.engine -. g.t_grant);
-        s.services <- s.services + 1
+  if Attrib.enabled () && t.oldest != t.no_grant then begin
+    let prev = match_pred t (Attrib.get ()) t.no_grant t.oldest in
+    let g = if prev == t.no_grant then t.oldest else prev.next in
+    if prev == t.no_grant then t.oldest <- g.next else prev.next <- g.next;
+    if t.newest == g then t.newest <- prev;
+    let s = stat_for t g.g_ctx in
+    s.service_ns <- s.service_ns +. (Engine.now t.engine -. g.t_grant);
+    s.services <- s.services + 1
+  end
 
 let acquire t =
   if t.busy < t.servers then begin
     account t;
     t.busy <- t.busy + 1;
-    let ctx = Attrib.get () in
-    record_wait t ctx 0.0;
-    open_grant t ctx
+    if Attrib.enabled () then begin
+      let ctx = Attrib.get () in
+      record_wait t ctx 0.0;
+      open_grant t ctx
+    end
   end
   else begin
-    let w_ctx = Attrib.get () in
-    let t_enq = Engine.now t.engine in
-    (* [resume] is already [unit -> unit]: store it directly, no
-       eta-wrapper closure on the blocked-acquire path. *)
-    Process.suspend (fun resume ->
-        account_queue t;
-        Queue.add { resume; w_ctx; t_enq } t.waiters)
+    account_queue t;
+    try Effect.perform t.park
+    with Effect.Unhandled _ -> raise Process.Not_in_process
   end
 
 let release t =
@@ -174,11 +201,11 @@ let release t =
       (* Hand the unit directly to the next waiter: busy count
          unchanged; the waiter's grant starts now, under the context it
          carried into the queue. *)
-      let now = Engine.now t.engine in
-      record_wait t w.w_ctx (now -. w.t_enq);
-      if Attrib.enabled () then
-        t.grants <- t.grants @ [ { g_ctx = w.w_ctx; t_grant = now } ];
-      Engine.after t.engine 0.0 w.resume
+      if Attrib.enabled () then begin
+        record_wait t w.ctx (Engine.now t.engine -. w.t_enq);
+        open_grant t w.ctx
+      end;
+      Process.unpark t.engine w.ctx w.k ()
   | None ->
       if t.busy <= 0 then
         invalid_arg
@@ -194,7 +221,7 @@ let use t duration =
 
 let busy_time t =
   account t;
-  t.busy_time
+  t.clock.busy_time
 
 let utilization t =
   let now = Engine.now t.engine in
@@ -203,7 +230,7 @@ let utilization t =
 
 let queue_area t =
   account_queue t;
-  t.queue_area
+  t.clock.queue_area
 
 let stats t =
   Attrib.Ctx_map.fold

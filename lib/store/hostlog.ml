@@ -1,5 +1,12 @@
 open Xenic_sim
 
+(* A parked worker: its continuation and the context it blocked under,
+   reinstalled when a record wakes it. *)
+type 'r reader = {
+  k : ('r * int, unit) Effect.Deep.continuation;
+  ctx : Attrib.ctx;
+}
+
 type 'r t = {
   engine : Engine.t;
   records : ('r * int) Queue.t;
@@ -7,11 +14,13 @@ type 'r t = {
   mutable used_b : int;
   mutable appended : int;
   mutable applied : int;
-  readers : (('r * int) -> unit) Queue.t;
+  readers : 'r reader Queue.t;
+  park : ('r * int) Effect.t;  (* performed by a blocked [poll] *)
   space_waiters : (unit -> unit) Queue.t;
 }
 
 let create engine ~capacity_b =
+  let readers = Queue.create () in
   {
     engine;
     records = Queue.create ();
@@ -19,14 +28,16 @@ let create engine ~capacity_b =
     used_b = 0;
     appended = 0;
     applied = 0;
-    readers = Queue.create ();
+    readers;
+    park =
+      Process.park_effect (fun k ->
+          Queue.add { k; ctx = Attrib.get () } readers);
     space_waiters = Queue.create ();
   }
 
 let rec append t ~bytes r =
   if t.used_b + bytes > t.capacity_b && t.used_b > 0 then begin
-    Process.suspend (fun resume ->
-        Queue.add (fun () -> resume ()) t.space_waiters);
+    Process.suspend (fun resume -> Queue.add resume t.space_waiters);
     append t ~bytes r
   end
   else begin
@@ -37,7 +48,7 @@ let rec append t ~bytes r =
     t.used_b <- t.used_b + bytes;
     t.appended <- t.appended + 1;
     (match Queue.take_opt t.readers with
-    | Some resume -> Engine.after t.engine 0.0 (fun () -> resume (r, bytes))
+    | Some w -> Process.unpark t.engine w.ctx w.k (r, bytes)
     | None -> Queue.add (r, bytes) t.records);
     t.appended
   end
@@ -45,7 +56,9 @@ let rec append t ~bytes r =
 let poll t =
   match Queue.take_opt t.records with
   | Some rb -> rb
-  | None -> Process.suspend (fun resume -> Queue.add resume t.readers)
+  | None -> (
+      try Effect.perform t.park
+      with Effect.Unhandled _ -> raise Process.Not_in_process)
 
 let ack t ~bytes =
   t.used_b <- max 0 (t.used_b - bytes);

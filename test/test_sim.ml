@@ -318,15 +318,28 @@ let test_suspend_outside_process () =
       Process.sleep ~node:0 eng 1.0);
   Alcotest.check_raises "yield" Process.Not_in_process (fun () ->
       Process.yield eng);
+  let r = Resource.create eng ~name:"cpu" ~servers:1 in
+  Resource.acquire r;
+  Alcotest.check_raises "blocked acquire" Process.Not_in_process (fun () ->
+      Resource.acquire r);
+  Alcotest.(check int) "no acquirer parked" 0 (Resource.queue_length r);
+  Alcotest.check_raises "blocked recv" Process.Not_in_process (fun () ->
+      Mailbox.recv (Mailbox.create eng));
+  Alcotest.check_raises "blocked poll" Process.Not_in_process (fun () ->
+      ignore (Xenic_store.Hostlog.poll (Xenic_store.Hostlog.create eng ~capacity_b:64)));
   Alcotest.(check bool) "nothing scheduled" true (Engine.idle eng)
 
 (* Allocation ratchet for the suspension path: minor-heap words per
    operation on a bare engine, averaged over 10k operations run inside
    one process. Each bound is the figure measured when the shared
-   handler and the slot-based sleep went in, plus 2 words of headroom
-   (before them: sleep 32, Resource.use 38, spawn 14, parallel 136). A
-   change that puts a closure or a box back on this path fails here
-   before it shows up as words per transaction. *)
+   handler and the slot-based sleep went in (sleep, spawn, parallel;
+   before them: sleep 32, Resource.use 38, spawn 14, parallel 136) or
+   when blocked calls began parking directly on their object (the rest;
+   before: Resource.use 17, blocked acquire 61, blocked recv 56,
+   blocked poll 52), plus 2 words of headroom. The blocked cases
+   include a spawn (5) and a yield (9). A change that puts a closure or
+   a box back on this path fails here before it shows up as words per
+   transaction. *)
 let words_per_op ~setup =
   let n = 10_000 in
   let eng = Engine.create () in
@@ -352,9 +365,39 @@ let test_alloc_ratchet () =
   in
   check "sleep" 13 (fun eng () -> Process.sleep eng 1.0);
   check "sleep ~node" 13 (fun eng () -> Process.sleep ~node:1 eng 1.0);
-  check "Resource.use" 19 (fun eng ->
+  check "Resource.use" 13 (fun eng ->
       let r = Resource.create eng ~name:"idle" ~servers:1 in
       fun () -> Resource.use r 1.0);
+  (* Take the unit, park a second acquirer behind it, hand the unit
+     over on release and let the waiter run. *)
+  check "blocked Resource.acquire" 35 (fun eng ->
+      let r = Resource.create eng ~name:"busy" ~servers:1 in
+      let waiter () =
+        Resource.acquire r;
+        Resource.release r
+      in
+      fun () ->
+        Resource.acquire r;
+        Process.spawn eng waiter;
+        Resource.release r;
+        Process.yield eng);
+  check "blocked Mailbox.recv + send" 34 (fun eng ->
+      let mb = Mailbox.create eng in
+      let receiver () = ignore (Mailbox.recv mb) in
+      fun () ->
+        Process.spawn eng receiver;
+        Mailbox.send mb 1;
+        Process.yield eng);
+  check "blocked Hostlog.poll + append" 37 (fun eng ->
+      let log = Xenic_store.Hostlog.create eng ~capacity_b:1024 in
+      let worker () =
+        let (), bytes = Xenic_store.Hostlog.poll log in
+        Xenic_store.Hostlog.ack log ~bytes
+      in
+      fun () ->
+        Process.spawn eng worker;
+        ignore (Xenic_store.Hostlog.append log ~bytes:8 ());
+        Process.yield eng);
   check "spawn" 7 (fun eng () -> Process.spawn eng ignore);
   check "parallel of 2" 71 (fun eng ->
       let thunks =
@@ -366,6 +409,75 @@ let test_alloc_ratchet () =
         ]
       in
       fun () -> ignore (Process.parallel eng thunks))
+
+(* A parked acquirer or receiver resumes under the context it blocked
+   in, not its waker's; once its body finishes, the wakeup event's own
+   context is back for whatever runs next. *)
+let test_park_context () =
+  let eng = Engine.create () in
+  let r = Resource.create eng ~name:"cpu" ~servers:1 in
+  let mb = Mailbox.create eng in
+  let ctx stack = { Attrib.default with Attrib.stack } in
+  let seen = ref [] in
+  let see tag = seen := (tag, (Attrib.get ()).Attrib.stack) :: !seen in
+  Process.spawn eng (fun () ->
+      Resource.acquire r;
+      Process.sleep eng 10.0;
+      Attrib.set (ctx "waker");
+      Resource.release r;
+      Mailbox.send mb ();
+      see "waker";
+      Engine.after eng 0.0 (fun () -> see "event"));
+  let parked name block =
+    Process.spawn eng (fun () ->
+        Attrib.set (ctx name);
+        block ();
+        see name;
+        Attrib.set (ctx (name ^ "-done")))
+  in
+  parked "acquirer" (fun () ->
+      Resource.acquire r;
+      Resource.release r);
+  parked "receiver" (fun () -> Mailbox.recv mb);
+  ignore (Engine.run eng);
+  Alcotest.(check (list (pair string string)))
+    "each side under its own context"
+    [
+      ("waker", "waker");
+      ("acquirer", "acquirer");
+      ("receiver", "receiver");
+      ("event", Attrib.default.Attrib.stack);
+    ]
+    (List.rev !seen)
+
+(* Parked acquirers get the unit, and parked receivers the messages, in
+   the order they blocked. *)
+let test_park_fifo () =
+  let eng = Engine.create () in
+  let r = Resource.create eng ~name:"cpu" ~servers:1 in
+  let mb = Mailbox.create eng in
+  let grants = ref [] and got = ref [] in
+  Process.spawn eng (fun () -> Resource.use r 10.0);
+  for i = 1 to 4 do
+    Process.spawn eng (fun () ->
+        Resource.use r 1.0;
+        grants := (i, Engine.now eng) :: !grants);
+    Process.spawn eng (fun () ->
+        let v = Mailbox.recv mb in
+        got := (i, v) :: !got)
+  done;
+  Process.spawn eng (fun () ->
+      Process.sleep eng 20.0;
+      List.iter (Mailbox.send mb) [ "a"; "b"; "c"; "d" ]);
+  ignore (Engine.run eng);
+  Alcotest.(check (list (pair int (float 1e-6))))
+    "acquirers in blocking order"
+    [ (1, 11.0); (2, 12.0); (3, 13.0); (4, 14.0) ]
+    (List.rev !grants);
+  Alcotest.(check (list (pair int string)))
+    "receivers in blocking order"
+    [ (1, "a"); (2, "b"); (3, "c"); (4, "d") ]
+    (List.rev !got)
 
 (* ------------------------------------------------------------------ *)
 (* Mailbox *)
@@ -468,6 +580,31 @@ let test_resource_release_twice () =
   Alcotest.check_raises "over-release rejected"
     (Invalid_argument "Resource.release: cpu released more times than acquired")
     (fun () -> Resource.release r)
+
+(* A profiled release closes the oldest open grant of its own context,
+   else the oldest open grant, whatever order the holders release in. *)
+let test_resource_grant_matching () =
+  let eng = Engine.create () in
+  Engine.set_attrib_enabled eng true;
+  let r = Resource.create eng ~name:"cores" ~servers:3 in
+  let under time stack f =
+    Engine.at eng time (fun () ->
+        Attrib.set { Attrib.default with Attrib.stack };
+        f r)
+  in
+  under 0.0 "a" Resource.acquire;
+  under 1.0 "b" Resource.acquire;
+  under 2.0 "a" Resource.acquire;
+  under 10.0 "a" Resource.release (* a's grant from 0 *);
+  under 20.0 "c" Resource.release (* no c grant: b's, the oldest *);
+  under 30.0 "a" Resource.release (* a's grant from 2 *);
+  ignore (Engine.run eng);
+  Alcotest.(check (list (triple string (float 1e-9) int)))
+    "service per context"
+    [ ("a", 38.0, 2); ("b", 19.0, 1) ]
+    (List.map
+       (fun (c, v) -> (c.Attrib.stack, v.Resource.v_service_ns, v.v_services))
+       (Resource.stats r))
 
 (* ------------------------------------------------------------------ *)
 (* Sanitizer (strict engines) *)
@@ -853,6 +990,8 @@ let () =
             test_process_parallel_floats;
           Alcotest.test_case "suspend outside" `Quick test_suspend_outside_process;
           Alcotest.test_case "allocation ratchet" `Quick test_alloc_ratchet;
+          Alcotest.test_case "park context" `Quick test_park_context;
+          Alcotest.test_case "park fifo" `Quick test_park_fifo;
         ] );
       ( "mailbox",
         [
@@ -866,6 +1005,7 @@ let () =
           Alcotest.test_case "parallel servers" `Quick test_resource_parallel_servers;
           Alcotest.test_case "utilization" `Quick test_resource_utilization;
           Alcotest.test_case "release twice" `Quick test_resource_release_twice;
+          Alcotest.test_case "grant matching" `Quick test_resource_grant_matching;
         ] );
       ( "sanitizer",
         [
